@@ -25,9 +25,10 @@ from .model import (
     LogicError,
     Ray,
     _spreadsheet_label,
+    collinear_classes,
     inner_product,
-    rays_collinear,
 )
+from .model import rays_collinear  # noqa: F401  (bench/spans.py traces it under this name)
 
 
 # --------------------------------------------------------------------------
@@ -90,11 +91,8 @@ def verify_realization(logic: Logic) -> RealizationReport:
             )
         )
 
-    collinear = []
-    for a, b in itertools.combinations(sorted(logic.atoms, key=lambda a: a.label), 2):
-        if a.ray is not None and b.ray is not None and rays_collinear(a.ray, b.ray):
-            collinear.append((a.label, b.label))
-
+    groups = collinear_classes((a.label, a.ray) for a in sorted(logic.atoms, key=lambda a: a.label))
+    collinear = sorted(pair for group in groups for pair in itertools.combinations(group, 2))
     return RealizationReport(logic.dimension, tuple(checks), tuple(collinear))
 
 
@@ -119,9 +117,10 @@ def complete_contexts(vectors: Iterable[tuple[str, Ray]], dimension: int) -> Log
             raise LogicError(
                 f"ray {lbl!r} has {len(r)} components, expected {dimension}"
             )
-    for x, y in itertools.combinations(labels, 2):
-        if rays_collinear(rays[x], rays[y]):
-            raise LogicError(f"rays {x!r} and {y!r} are collinear")
+    collinear = collinear_classes(pairs)
+    if collinear:
+        x, y = collinear[0][:2]
+        raise LogicError(f"rays {x!r} and {y!r} are collinear")
 
     neighbors: dict[str, set[str]] = {lbl: set() for lbl in labels}
     for x, y in itertools.combinations(labels, 2):

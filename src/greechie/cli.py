@@ -19,7 +19,7 @@ from typing import Any, Callable, Sequence
 
 from . import analysis, diagrams, gls
 from . import quantum as qm
-from .model import AbstractLogicError, Logic, LogicError, format_quad, inner_product
+from .model import Logic, LogicError, format_quad, inner_product
 
 
 def _fmt(value: float) -> str:
@@ -325,11 +325,27 @@ def build_parser() -> argparse.ArgumentParser:
 # driver
 # --------------------------------------------------------------------------
 
+class _Refusal(Exception):
+    """An input or output fault: the run ends with exit 2 and this message."""
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _Refusal(f"cannot write {out!r}: {exc.strerror or exc}") from None
+
+
+def _load(name: str) -> Logic:
+    try:
+        return gls.load_logic(name)
+    except OSError as exc:
+        raise _Refusal(f"cannot read {name!r}: {exc.strerror or exc}") from None
+    except (UnicodeDecodeError, gls.GlsParseError) as exc:
+        raise _Refusal(f"{name}: {exc}") from None
 
 
 def _run_file_command(args: argparse.Namespace) -> int:
@@ -339,21 +355,9 @@ def _run_file_command(args: argparse.Namespace) -> int:
     negatives = 0
     for name in args.files:
         try:
-            logic = gls.load_logic(name)
-        except FileNotFoundError:
-            print(f"error: cannot read {name!r}", file=sys.stderr)
-            return 2
-        except gls.GlsParseError as exc:
-            print(f"error: {name}: {exc}", file=sys.stderr)
-            return 2
-        try:
-            doc, lines, negative = handler(logic, args)
-        except AbstractLogicError as exc:
-            print(f"error: {name}: {exc}", file=sys.stderr)
-            return 2
+            doc, lines, negative = handler(_load(name), args)
         except LogicError as exc:
-            print(f"error: {name}: {exc}", file=sys.stderr)
-            return 2
+            raise _Refusal(f"{name}: {exc}") from None
         doc = {"file": name, **doc}
         reports.append(doc)
         if len(args.files) > 1:
@@ -384,18 +388,7 @@ def _run_file_command(args: argparse.Namespace) -> int:
 
 
 def _run_dot(args: argparse.Namespace) -> int:
-    pieces = []
-    for name in args.files:
-        try:
-            logic = gls.load_logic(name)
-        except FileNotFoundError:
-            print(f"error: cannot read {name!r}", file=sys.stderr)
-            return 2
-        except gls.GlsParseError as exc:
-            print(f"error: {name}: {exc}", file=sys.stderr)
-            return 2
-        pieces.append(diagrams.emit_dot(logic, args.mode))
-    _emit("".join(pieces), args.out)
+    _emit("".join(diagrams.emit_dot(_load(name), args.mode) for name in args.files), args.out)
     return 0
 
 
@@ -403,8 +396,7 @@ def _run_star(args: argparse.Namespace) -> int:
     try:
         logic = analysis.make_star(args.dimension)
     except LogicError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _Refusal(str(exc)) from None
     _emit(gls.serialize_logic(logic), args.out)
     return 0
 
@@ -415,11 +407,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "dot":
-        return _run_dot(args)
-    if args.command == "star":
-        return _run_star(args)
-    return _run_file_command(args)
+    run = {"dot": _run_dot, "star": _run_star}.get(args.command, _run_file_command)
+    try:
+        return run(args)
+    except _Refusal as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

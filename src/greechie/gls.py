@@ -24,7 +24,8 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .model import Atom, Context, Logic, Quad, Ray, format_quad, parse_quad, rays_collinear
+from .model import Atom, Context, Logic, LogicChecker, LogicError, Ray, format_quad, parse_quad
+from .model import rays_collinear  # noqa: F401  (bench/spans.py traces it under this name)
 
 CORPUS_FILES = (
     "star4.gls",
@@ -49,144 +50,98 @@ class GlsParseError(ValueError):
 
 
 def _tokenize_line(raw: str) -> list[tuple[str, int]]:
-    """Split one line into (token, 1-based column) pairs, dropping comments."""
+    """Split one line into (token, 1-based column) pairs, dropping comments.
+
+    Tabs and carriage returns separate tokens like spaces, so no label can
+    hold a CR that the canonical writer would turn into a line ending.
+    """
     if "#" in raw:
         raw = raw[: raw.index("#")]
     out: list[tuple[str, int]] = []
     col = 1
-    for piece in raw.split(" "):
-        # split("\t") inside pieces: normalize tabs to spaces first
+    for piece in raw.replace("\t", " ").replace("\r", " ").split(" "):
         if piece:
             out.append((piece, col))
         col += len(piece) + 1
     return out
 
 
+def _parse_dimension(value: str, lineno: int, col: int) -> int:
+    try:
+        if value.isascii() and value.isdigit():
+            return int(value)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise GlsParseError(f"dimension must be a positive integer, got {value!r}", lineno, col)
+
+
 def parse_logic(text: str) -> Logic:
     """Parse ``.gls`` text into a validated Logic.
 
-    Raises GlsParseError with line/column on the first problem: unknown
-    keyword, duplicate label, undeclared context member, context larger than
-    the dimension, duplicate (collinear) ray, or a component token outside
-    Q(sqrt(2)).
+    Raises GlsParseError with line/column on the first problem in file order:
+    a grammar fault (unknown keyword, misplaced or malformed ``dim``, missing
+    label, a component token outside Q(sqrt(2))) or a structural rule of
+    ``model.LogicChecker``, which sees every declaration as it is read.
     """
-    dimension: int | None = None
+    checker: LogicChecker | None = None
     atoms: list[Atom] = []
-    atom_lines: dict[str, int] = {}
     contexts: list[Context] = []
-    context_sets: dict[frozenset[str], str] = {}
-    rays_seen: list[tuple[str, Ray]] = []
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        raw = raw.rstrip("\r").replace("\t", " ")
         tokens = _tokenize_line(raw)
         if not tokens:
             continue
         keyword, kw_col = tokens[0]
+        try:
+            if keyword == "dim":
+                if checker is not None:
+                    raise GlsParseError("duplicate dim declaration", lineno, kw_col)
+                if len(tokens) != 2:
+                    raise GlsParseError("expected: dim <integer>", lineno, kw_col)
+                value, col = tokens[1]
+                checker = LogicChecker(_parse_dimension(value, lineno, col))
 
-        if keyword == "dim":
-            if dimension is not None:
-                raise GlsParseError("duplicate dim declaration", lineno, kw_col)
-            if atoms or contexts:
-                raise GlsParseError("dim must precede all atoms and contexts", lineno, kw_col)
-            if len(tokens) != 2:
-                raise GlsParseError("expected: dim <integer>", lineno, kw_col)
-            value, col = tokens[1]
-            if not value.isdigit():
-                raise GlsParseError(f"dimension must be a positive integer, got {value!r}", lineno, col)
-            dimension = int(value)
-            if dimension < 3:
-                raise GlsParseError(f"dimension must be >= 3, got {dimension}", lineno, col)
-
-        elif keyword == "atom":
-            if dimension is None:
-                raise GlsParseError("dim must be declared before atoms", lineno, kw_col)
-            if len(tokens) < 2:
-                raise GlsParseError("expected: atom <label> [components...]", lineno, kw_col)
-            label, label_col = tokens[1]
-            if label in atom_lines:
-                raise GlsParseError(
-                    f"duplicate atom label {label!r} (first declared on line {atom_lines[label]})",
-                    lineno,
-                    label_col,
-                )
-            comps = tokens[2:]
-            ray: Ray | None = None
-            if comps:
-                if len(comps) != dimension:
-                    raise GlsParseError(
-                        f"atom {label!r} has {len(comps)} components, expected {dimension}",
-                        lineno,
-                        comps[0][1],
-                    )
-                values: list[Quad] = []
-                for tok, col in comps:
+            elif keyword == "atom":
+                if checker is None:
+                    raise GlsParseError("dim must be declared before atoms", lineno, kw_col)
+                if len(tokens) < 2:
+                    raise GlsParseError("expected: atom <label> [components...]", lineno, kw_col)
+                values = []
+                for tok, col in tokens[2:]:
                     try:
                         values.append(parse_quad(tok))
                     except ValueError as exc:
                         raise GlsParseError(str(exc), lineno, col) from None
-                if all(v.is_zero for v in values):
-                    raise GlsParseError(f"atom {label!r} has the zero ray", lineno, comps[0][1])
-                ray = Ray(tuple(values))
-                for other_label, other_ray in rays_seen:
-                    if rays_collinear(ray, other_ray):
-                        raise GlsParseError(
-                            f"atom {label!r} duplicates the ray of atom {other_label!r}",
-                            lineno,
-                            comps[0][1],
-                        )
-                rays_seen.append((label, ray))
-            atom_lines[label] = lineno
-            atoms.append(Atom(label, ray))
+                atom = Atom(tokens[1][0], Ray(tuple(values)) if values else None)
+                checker.atom(atom)
+                atoms.append(atom)
 
-        elif keyword == "context":
-            if dimension is None:
-                raise GlsParseError("dim must be declared before contexts", lineno, kw_col)
-            if len(tokens) < 2:
-                raise GlsParseError("expected: context <label> <member>...", lineno, kw_col)
-            label, label_col = tokens[1]
-            if any(c.label == label for c in contexts):
-                raise GlsParseError(f"duplicate context label {label!r}", lineno, label_col)
-            members = tokens[2:]
-            if len(members) < 2:
-                raise GlsParseError(f"context {label!r} needs at least 2 members", lineno, label_col)
-            if len(members) > dimension:
-                raise GlsParseError(
-                    f"context {label!r} has {len(members)} members, more than dimension {dimension}",
-                    lineno,
-                    members[0][1],
-                )
-            seen_members: set[str] = set()
-            for m, col in members:
-                if m not in atom_lines:
-                    raise GlsParseError(f"context member {m!r} is not a declared atom", lineno, col)
-                if m in seen_members:
-                    raise GlsParseError(f"context {label!r} repeats member {m!r}", lineno, col)
-                seen_members.add(m)
-            key = frozenset(seen_members)
-            if key in context_sets:
-                raise GlsParseError(
-                    f"context {label!r} has the same member set as context {context_sets[key]!r}",
-                    lineno,
-                    label_col,
-                )
-            context_sets[key] = label
-            contexts.append(Context(label, tuple(m for m, _ in members)))
+            elif keyword == "context":
+                if checker is None:
+                    raise GlsParseError("dim must be declared before contexts", lineno, kw_col)
+                if len(tokens) < 2:
+                    raise GlsParseError("expected: context <label> <member>...", lineno, kw_col)
+                context = Context(tokens[1][0], tuple(m for m, _ in tokens[2:]))
+                checker.context(context)
+                contexts.append(context)
 
-        else:
-            raise GlsParseError(f"unknown keyword {keyword!r}", lineno, kw_col)
+            else:
+                raise GlsParseError(f"unknown keyword {keyword!r}", lineno, kw_col)
+        except LogicError as exc:
+            # The checker names the token; Ray's own fault (the zero ray) has
+            # none and lies in the components.
+            token = 1 if exc.token is None else exc.token
+            raise GlsParseError(str(exc), lineno, tokens[token + 1][1]) from None
 
-    if dimension is None:
-        raise GlsParseError("missing dim declaration", max(1, text.count("\n") + 1), 1)
-
-    logic = Logic(dimension, tuple(atoms), tuple(contexts))
+    last_line = text.count("\n") + 1
+    if checker is None:
+        raise GlsParseError("missing dim declaration", last_line, 1)
     try:
-        logic.validate()
-    except ValueError as exc:
-        # Only invariants without a single offending line reach this point
-        # (e.g. an atom that occurs in no context).
-        raise GlsParseError(str(exc), text.count("\n") + 1, 1) from None
-    return logic
+        checker.finish()
+    except LogicError as exc:
+        # An atom that occurs in no context has no single offending line.
+        raise GlsParseError(str(exc), last_line, 1) from None
+    return Logic(checker.dimension, tuple(atoms), tuple(contexts))
 
 
 def serialize_logic(logic: Logic) -> str:

@@ -22,7 +22,15 @@ RationalLike = Union[int, Fraction]
 
 
 class LogicError(ValueError):
-    """A structural violation in a logic: bad labels, members, sizes, or rays."""
+    """A structural violation in a logic: bad labels, members, sizes, or rays.
+
+    ``token`` locates the fault inside one declaration when known: 0 is its
+    label (or the dimension value), k >= 1 its k-th component or member.
+    """
+
+    def __init__(self, message: str, token: int | None = None) -> None:
+        self.token = token
+        super().__init__(message)
 
 
 class AbstractLogicError(LogicError):
@@ -178,7 +186,7 @@ class Ray:
         if not self.components:
             raise LogicError("ray needs at least one component")
         if all(c.is_zero for c in self.components):
-            raise LogicError("ray must have a nonzero component")
+            raise LogicError("the zero ray is not a ray: a component must be nonzero")
 
     @classmethod
     def of(cls, *values: RationalLike | Quad | str) -> Ray:
@@ -201,6 +209,13 @@ class Ray:
     def __str__(self) -> str:
         return "(" + ", ".join(format_quad(c) for c in self.components) + ")"
 
+    @cached_property
+    def key(self) -> tuple[Quad, ...]:
+        """Canonical projective form: the components divided by the first
+        nonzero one.  Two rays are collinear exactly when their keys are equal."""
+        lead = next(c for c in self.components if not c.is_zero)
+        return tuple(c / lead for c in self.components)
+
 
 def inner_product(r: Ray, s: Ray) -> Quad:
     """Exact Euclidean inner product; the rays are real, so no conjugation."""
@@ -213,16 +228,18 @@ def inner_product(r: Ray, s: Ray) -> Quad:
 
 
 def rays_collinear(r: Ray, s: Ray) -> bool:
-    """Projective equality: true iff every 2x2 minor of [r; s] vanishes."""
+    """Projective equality of two rays of the same length."""
     if len(r) != len(s):
         raise LogicError(f"ray length mismatch: {len(r)} vs {len(s)}")
-    n = len(r)
-    for i in range(n):
-        for j in range(i + 1, n):
-            minor = r.components[i] * s.components[j] - r.components[j] * s.components[i]
-            if not minor.is_zero:
-                return False
-    return True
+    return r.key == s.key
+
+
+def collinear_classes(labeled: Iterable[tuple[str, Ray]]) -> list[list[str]]:
+    """Groups of two or more labels with one ray, in input order."""
+    by_key: dict[tuple[Quad, ...], list[str]] = {}
+    for label, ray in labeled:
+        by_key.setdefault(ray.key, []).append(label)
+    return [group for group in by_key.values() if len(group) > 1]
 
 
 @dataclass(frozen=True)
@@ -244,12 +261,83 @@ class Context:
         object.__setattr__(self, "members", tuple(self.members))
 
 
+class LogicChecker:
+    """The structural rules of a logic, checked one declaration at a time.
+
+    Declare each atom before any context that names it, then call
+    :meth:`finish`.  Each declaration raises LogicError, with ``token`` set,
+    on the first rule it breaks; ``finish`` reports an atom in no context.
+    """
+
+    def __init__(self, dimension: int) -> None:
+        if dimension < 3:
+            raise LogicError(f"dimension must be >= 3, got {dimension}", token=0)
+        self.dimension = dimension
+        self._used: dict[str, bool] = {}  # atom label -> occurs in a context
+        self._rays: dict[tuple[Quad, ...], str] = {}  # Ray.key -> atom label
+        self._contexts: set[str] = set()
+        self._member_sets: dict[frozenset[str], str] = {}
+
+    def atom(self, a: Atom) -> None:
+        if a.label in self._used:
+            raise LogicError(f"duplicate atom label {a.label!r}", token=0)
+        if a.ray is not None:
+            if len(a.ray) != self.dimension:
+                raise LogicError(
+                    f"atom {a.label!r} has {len(a.ray)} components, expected {self.dimension}",
+                    token=1,
+                )
+            other = self._rays.setdefault(a.ray.key, a.label)
+            if other != a.label:
+                raise LogicError(
+                    f"atom {a.label!r} duplicates the ray of atom {other!r}; "
+                    "distinct atoms must not carry the same ray",
+                    token=1,
+                )
+        self._used[a.label] = False
+
+    def context(self, c: Context) -> None:
+        if c.label in self._contexts:
+            raise LogicError(f"duplicate context label {c.label!r}", token=0)
+        if len(c.members) < 2:
+            raise LogicError(f"context {c.label!r} needs at least 2 members", token=0)
+        if len(c.members) > self.dimension:
+            raise LogicError(
+                f"context {c.label!r} has {len(c.members)} members, "
+                f"more than dimension {self.dimension}",
+                token=1,
+            )
+        members: set[str] = set()
+        for k, m in enumerate(c.members, start=1):
+            if m not in self._used:
+                raise LogicError(
+                    f"context {c.label!r} member {m!r} is not a declared atom", token=k
+                )
+            if m in members:
+                raise LogicError(f"context {c.label!r} repeats member {m!r}", token=k)
+            members.add(m)
+        key = frozenset(members)
+        if key in self._member_sets:
+            other = self._member_sets[key]
+            raise LogicError(
+                f"context {c.label!r} has the same member set as context {other!r}", token=0
+            )
+        self._contexts.add(c.label)
+        self._member_sets[key] = c.label
+        self._used.update(dict.fromkeys(members, True))
+
+    def finish(self) -> None:
+        for label, used in self._used.items():
+            if not used:
+                raise LogicError(f"atom {label!r} occurs in no context")
+
+
 @dataclass(frozen=True)
 class Logic:
     """A finite pasting of contexts over a shared atom set.
 
-    Construction does not validate; call :meth:`validate` (the parser always
-    does) to enforce the structural invariants.  Geometric soundness of a
+    Construction does not validate; call :meth:`validate` to enforce the
+    structural invariants (the parser applies the same LogicChecker).  Geometric soundness of a
     realization -- pairwise orthogonality inside every context -- is checked
     by ``analysis.verify_realization``, which reports rather than raises, so
     that broken realizations can be examined.
@@ -299,53 +387,13 @@ class Logic:
         return all(a.ray is not None for a in self.atoms)
 
     def validate(self) -> None:
-        """Raise LogicError on the first structural violation."""
-        if self.dimension < 3:
-            raise LogicError(f"dimension must be >= 3, got {self.dimension}")
-        seen: set[str] = set()
+        """Raise LogicError on the first structural violation, atoms first."""
+        checker = LogicChecker(self.dimension)
         for a in self.atoms:
-            if a.label in seen:
-                raise LogicError(f"duplicate atom label {a.label!r}")
-            seen.add(a.label)
-            if a.ray is not None and len(a.ray) != self.dimension:
-                raise LogicError(
-                    f"atom {a.label!r}: ray has {len(a.ray)} components, expected {self.dimension}"
-                )
-        realized = [a for a in self.atoms if a.ray is not None]
-        for i, a in enumerate(realized):
-            for b in realized[i + 1 :]:
-                if rays_collinear(a.ray, b.ray):  # type: ignore[arg-type]
-                    raise LogicError(
-                        f"atoms {a.label!r} and {b.label!r} carry the same ray; "
-                        "distinct propositions must be distinct rays"
-                    )
-        ctx_labels: set[str] = set()
-        member_sets: dict[frozenset[str], str] = {}
-        used: set[str] = set()
+            checker.atom(a)
         for c in self.contexts:
-            if c.label in ctx_labels:
-                raise LogicError(f"duplicate context label {c.label!r}")
-            ctx_labels.add(c.label)
-            if len(set(c.members)) != len(c.members):
-                raise LogicError(f"context {c.label!r} repeats a member")
-            if not 2 <= len(c.members) <= self.dimension:
-                raise LogicError(
-                    f"context {c.label!r} has {len(c.members)} members; "
-                    f"expected between 2 and {self.dimension}"
-                )
-            for m in c.members:
-                if m not in seen:
-                    raise LogicError(f"context {c.label!r} references undeclared atom {m!r}")
-            key = frozenset(c.members)
-            if key in member_sets:
-                raise LogicError(
-                    f"contexts {member_sets[key]!r} and {c.label!r} have the same member set"
-                )
-            member_sets[key] = c.label
-            used.update(c.members)
-        for a in self.atoms:
-            if a.label not in used:
-                raise LogicError(f"atom {a.label!r} occurs in no context")
+            checker.context(c)
+        checker.finish()
 
 
 def orthogonality_edges(logic: Logic) -> set[frozenset[str]]:

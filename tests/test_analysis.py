@@ -19,6 +19,8 @@ from greechie.gls import load_corpus, serialize_logic
 from greechie.model import (
     AbstractLogicError,
     Atom,
+    Context,
+    Logic,
     LogicError,
     Ray,
     make_logic,
@@ -73,6 +75,22 @@ class TestVerifyRealization:
         assert by_label["a"].failing_pair == ("A", "B")
         assert by_label["g"].failing_pair == ("B", "M")
         assert by_label["b"].ok
+
+    def test_collinear_atoms_are_paired(self):
+        logic = Logic(
+            3,
+            (
+                Atom("C", Ray.of(0, "r2", 0)),
+                Atom("A", Ray.of(0, 1, 0)),
+                Atom("X", Ray.of(1, 0, 0)),
+                Atom("B", Ray.of(0, -3, 0)),
+            ),
+            (Context("a", ("A", "X")),),
+        )
+        report = verify_realization(logic)
+        assert report.collinear_pairs == (("A", "B"), ("A", "C"), ("B", "C"))
+        assert not report.passed
+        assert all(check.ok for check in report.checks)
 
     def test_abstract_logic_is_rejected(self, corpus):
         with pytest.raises(AbstractLogicError, match="ab"):

@@ -222,6 +222,27 @@ class TestExitCodes:
         assert code == 2
         assert "line 2" in err
 
+    def test_directory_as_file(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "states", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: cannot read")
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.gls"
+        path.write_bytes(b"dim 3\natom \xc4\n")
+        code, _, err = run_cli(capsys, "dot", str(path))
+        assert code == 2
+        assert err.startswith("error:") and "utf-8" in err
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.txt"
+        code, out, err = run_cli(
+            capsys, "states", "--out", str(target), path_of("gamma1.gls")
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write")
+
     def test_unknown_subcommand(self, capsys):
         assert run_cli(capsys, "frobnicate", "x.gls")[0] == 2
 

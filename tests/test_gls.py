@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greechie.gls import (
     CORPUS_FILES,
@@ -46,6 +47,11 @@ class TestParseBasics:
     def test_tabs_accepted(self):
         logic = parse_logic("dim\t3\natom\tA\natom B\ncontext a\tA B\n")
         assert logic.dimension == 3
+
+    def test_carriage_return_separates_tokens(self):
+        logic = parse_logic("dim 3\natom A\r# note\natom B\ncontext a A\rB\n")
+        assert [a.label for a in logic.atoms] == ["A", "B"]
+        assert parse_logic(serialize_logic(logic)) == logic
 
     def test_abstract_atoms(self):
         logic = parse_logic("dim 3\natom A\natom B\ncontext a A B\n")
@@ -92,6 +98,13 @@ class TestParseErrors:
 
     def test_dim_not_a_number(self):
         self.expect_error("dim three\n", 1, 5, "positive integer")
+
+    @pytest.mark.parametrize("digit", ["\u00b3", "\u0663"])  # superscript, Arabic-Indic 3
+    def test_dim_not_ascii_digits(self, digit):
+        self.expect_error(f"dim {digit}\n", 1, 5, "positive integer")
+
+    def test_dim_too_many_digits(self):
+        self.expect_error("dim " + "9" * 5000 + "\n", 1, 5, "positive integer")
 
     def test_dim_too_small(self):
         self.expect_error("dim 2\n", 1, 5, ">= 3")
@@ -166,6 +179,49 @@ class TestParseErrors:
 
     def test_dim_after_atom(self):
         self.expect_error("dim 3\natom A\ndim 3\n", 3, 1, "duplicate dim")
+
+
+# Token grammar for the fuzz test: every keyword, labels, Q(sqrt 2) tokens and
+# malformed ones, a superscript digit, a digit run past int()'s limit, tabs,
+# comments and CR/LF.  The prefixes are valid files, so that some inputs parse
+# and the round trip is exercised too.
+_WORDS = (
+    "dim", "atom", "context", "vertex", "#", "A", "B", "C", "a", "b",
+    "3", "2", "03", "\u00b3", "9" * 5000, "0", "1", "-1", "r2", "-r2",
+    "1/2r2", "1+1r2", "3-r2", "1/0", "r3", "1r2r2", "+",
+)
+_PREFIXES = (
+    "",
+    "dim 3",
+    "dim 3\natom A\natom B\ncontext a A B",
+    "dim 3\natom A 1 0 0\natom B 0 1 r2\natom C 0 r2 -1\ncontext a A B C",
+)
+_SEPARATORS = (" ", "  ", "\t", " \t", "\r", " \r")
+_LINE_ENDS = ("\n", "\r\n", "#c\n", "\r#c\n", "\t\r\n", "")
+
+
+@st.composite
+def gls_texts(draw) -> str:
+    lines = [line.split(" ") for line in draw(st.sampled_from(_PREFIXES)).splitlines()]
+    lines += draw(st.lists(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=6), max_size=3))
+    return "".join(
+        draw(st.sampled_from(_SEPARATORS)).join(words) + draw(st.sampled_from(_LINE_ENDS))
+        for words in lines
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(gls_texts())
+def test_fuzzed_text_parses_or_raises_parse_error(text):
+    try:
+        logic = parse_logic(text)
+    except GlsParseError:
+        return
+    canonical = serialize_logic(logic)
+    again = parse_logic(canonical)
+    assert (again.dimension, again.contexts) == (logic.dimension, logic.contexts)
+    assert sorted(again.atoms, key=lambda a: a.label) == sorted(logic.atoms, key=lambda a: a.label)
+    assert serialize_logic(again) == canonical
 
 
 class TestSerialization:

@@ -32,6 +32,17 @@ def quad(rat, coef2=0) -> Quad:
     return Quad(Fraction(rat), Fraction(coef2))
 
 
+def minors_vanish(r: Ray, s: Ray) -> bool:
+    """Independent collinearity oracle: every 2x2 minor of [r; s] is zero."""
+    n = len(r)
+    for i in range(n):
+        for j in range(i + 1, n):
+            minor = r.components[i] * s.components[j] - r.components[j] * s.components[i]
+            if not minor.is_zero:
+                return False
+    return True
+
+
 # --------------------------------------------------------------------------
 # arithmetic
 # --------------------------------------------------------------------------
@@ -242,6 +253,46 @@ class TestRays:
             scaled = Ray(tuple(c * scale for c in r.components))
             assert rays_collinear(r, scaled)
             assert rays_collinear(r, s) == rays_collinear(scaled, s)
+
+    def test_collinearity_agrees_with_minor_oracle(self):
+        rng = random.Random(13)
+        values = [quad(0), quad(1), quad(-1), quad(0, 1), quad(2), quad(1, -1), quad(-3, 2)]
+
+        def rand_ray() -> Ray:
+            while True:
+                components = tuple(rng.choice(values) for _ in range(3))
+                if any(not c.is_zero for c in components):
+                    return Ray(components)
+
+        agreed = {True: 0, False: 0}
+        for _ in range(2000):
+            r = rand_ray()
+            scale = rng.choice(values[1:])
+            s = rand_ray() if rng.random() < 0.5 else Ray(tuple(c * scale for c in r.components))
+            expected = minors_vanish(r, s)
+            assert rays_collinear(r, s) == expected
+            assert (r.key == s.key) == expected
+            agreed[expected] += 1
+        assert min(agreed.values()) > 100
+
+    @pytest.mark.parametrize(
+        "r, s, collinear",
+        [
+            (("0", "1", "r2"), ("0", "r2", "2"), True),
+            (("0", "1", "r2"), ("0", "r2", "1"), False),
+            (("0", "0", "-r2"), ("0", "0", "1/2"), True),
+            (("0", "0", "1"), ("0", "1", "0"), False),
+            (("0", "1+1r2", "1"), ("0", "1", "-1+1r2"), True),
+        ],
+    )
+    def test_collinearity_with_leading_zeros(self, r, s, collinear):
+        r, s = Ray.of(*r), Ray.of(*s)
+        assert minors_vanish(r, s) == collinear
+        assert rays_collinear(r, s) == collinear
+        assert (r.key == s.key) == collinear
+
+    def test_key_starts_at_one(self):
+        assert Ray.of("0", "r2", "2").key == (ZERO, ONE, ROOT2)
 
     def test_collinear_rays_have_proportional_inner_products(self):
         r = Ray.of("1", "r2", "-1")
