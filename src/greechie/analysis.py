@@ -27,6 +27,7 @@ from .model import (
     _spreadsheet_label,
     collinear_classes,
     inner_product,
+    orthogonality_adjacency,
 )
 from .model import rays_collinear  # noqa: F401  (bench/spans.py traces it under this name)
 
@@ -419,8 +420,11 @@ def infer_collapses(logic: Logic) -> CollapseReport:
     share a context.  Whenever two distinct atoms are both orthogonal to a
     common set of d-1 mutually orthogonal atoms they are forced onto the
     same ray and merged; merging can create new forced pairs, so the scan
-    repeats until nothing merges.  Sound but deliberately incomplete: a
-    logic may be unrealizable in dimension d without triggering any merge.
+    repeats until nothing merges.  Each round grows the (d-1)-cliques inside
+    neighbourhoods, in lexicographic order, so the cost follows the cliques
+    present rather than the C(n, d-1) atom subsets; stars up to the d=26
+    label limit finish.  Sound but deliberately incomplete: a logic may be
+    unrealizable in dimension d without triggering any merge.
     """
     d = logic.dimension
     parent: dict[str, str] = {a.label: a.label for a in logic.atoms}
@@ -437,23 +441,9 @@ def infer_collapses(logic: Logic) -> CollapseReport:
     merged = True
     while merged:
         merged = False
-        adjacency: dict[str, set[str]] = {}
-        for ctx in logic.contexts:
-            reps = sorted({find(m) for m in ctx.members})
-            for x, y in itertools.combinations(reps, 2):
-                adjacency.setdefault(x, set()).add(y)
-                adjacency.setdefault(y, set()).add(x)
-        nodes = sorted(adjacency)
-        for witness in itertools.combinations(nodes, d - 1):
-            if any(
-                y not in adjacency[x]
-                for x, y in itertools.combinations(witness, 2)
-            ):
-                continue
-            commons = sorted(
-                z for z in nodes
-                if z not in witness and all(z in adjacency[w] for w in witness)
-            )
+        adjacency = orthogonality_adjacency(logic, find)
+        for witness in _cliques(adjacency, d - 1):
+            commons = sorted(set.intersection(*(adjacency[w] for w in witness)))
             for x, y in itertools.combinations(commons, 2):
                 rx, ry = find(x), find(y)
                 if rx == ry:
@@ -466,6 +456,21 @@ def infer_collapses(logic: Logic) -> CollapseReport:
 
     found.sort(key=lambda ident: ident.pair)
     return CollapseReport(dimension=d, forced_identifications=tuple(found))
+
+
+def _cliques(adjacency: Mapping[str, set[str]], size: int) -> Iterator[tuple[str, ...]]:
+    """The cliques of ``size`` nodes as sorted tuples, in lexicographic order.  A clique grows
+    only through the later neighbours of all its members, while enough remain to reach ``size``."""
+    for v in sorted(adjacency):
+        stack = [((v,), sorted(u for u in adjacency[v] if u > v))]
+        while stack:
+            clique, candidates = stack.pop()
+            if len(clique) == size:
+                yield clique
+                continue
+            for i in reversed(range(len(candidates) - (size - len(clique)) + 1)):
+                u = candidates[i]
+                stack.append((clique + (u,), [w for w in candidates[i + 1 :] if w in adjacency[u]]))
 
 
 # --------------------------------------------------------------------------

@@ -40,15 +40,17 @@ def tkadlec_dual(logic: Logic) -> DualGraph:
     (left before right) with the shared atoms sorted.  Contexts sharing
     several atoms still give a single edge.
     """
-    edges = []
-    for c1, c2 in itertools.combinations(logic.contexts, 2):
-        shared = sorted(set(c1.members) & set(c2.members))
-        if shared:
-            edges.append(DualEdge(c1.label, c2.label, tuple(shared)))
-    return DualGraph(
-        nodes=tuple(c.label for c in logic.contexts),
-        edges=tuple(edges),
-    )
+    owners: dict[str, list[int]] = {}
+    for i, c in enumerate(logic.contexts):
+        for m in set(c.members):
+            owners.setdefault(m, []).append(i)
+    shared: dict[tuple[int, int], list[str]] = {}
+    for atom, indices in owners.items():
+        for pair in itertools.combinations(indices, 2):
+            shared.setdefault(pair, []).append(atom)
+    labels = tuple(c.label for c in logic.contexts)
+    edges = [DualEdge(labels[i], labels[j], tuple(sorted(shared[i, j]))) for i, j in sorted(shared)]
+    return DualGraph(nodes=labels, edges=tuple(edges))
 
 
 DOT_MODES = ("greechie-incidence", "tkadlec")

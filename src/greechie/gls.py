@@ -72,7 +72,8 @@ def _parse_dimension(value: str, lineno: int, col: int) -> int:
             return int(value)
     except ValueError:  # more digits than int() converts
         pass
-    raise GlsParseError(f"dimension must be a positive integer, got {value!r}", lineno, col)
+    shown = repr(value) if len(value) <= 20 else f"{value[:20]!r}... ({len(value)} characters)"
+    raise GlsParseError(f"dimension must be a positive integer, got {shown}", lineno, col)
 
 
 def parse_logic(text: str) -> Logic:

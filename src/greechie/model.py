@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 SQRT2 = math.sqrt(2.0)
 
@@ -396,14 +396,20 @@ class Logic:
         checker.finish()
 
 
+def orthogonality_adjacency(logic: Logic, rep: Callable[[str], str]) -> dict[str, set[str]]:
+    """Each member, mapped through ``rep``, with the mapped members it shares a context with."""
+    adjacency: dict[str, set[str]] = {}
+    for c in logic.contexts:
+        reps = {rep(m) for m in c.members}
+        for x in reps:
+            adjacency.setdefault(x, set()).update(reps - {x})
+    return adjacency
+
+
 def orthogonality_edges(logic: Logic) -> set[frozenset[str]]:
     """The binary orthogonality relation induced by context membership."""
-    edges: set[frozenset[str]] = set()
-    for c in logic.contexts:
-        for i, x in enumerate(c.members):
-            for y in c.members[i + 1 :]:
-                edges.add(frozenset((x, y)))
-    return edges
+    adjacency = orthogonality_adjacency(logic, lambda label: label)
+    return {frozenset((x, y)) for x, ys in adjacency.items() for y in ys}
 
 
 def make_logic(

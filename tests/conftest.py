@@ -2,7 +2,10 @@
 
 The oracle enumerators here deliberately share no code or strategy with the
 package: one scans all 2^n assignments, the other recurses over per-context
-choices without any propagation.  Tests compare the package against them.
+choices without any propagation.  The collapse and dual oracles keep the
+direct definitions the package replaced with faster searches: every
+(d-1)-subset of atoms, and every pair of contexts.  Tests compare the
+package against them.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import random
 
 import pytest
 
+from greechie.analysis import CollapseReport, Identification
+from greechie.diagrams import DualEdge, DualGraph
 from greechie.gls import CORPUS_FILES, load_corpus
 from greechie.model import Atom, Context, Logic
 
@@ -108,6 +113,67 @@ def rules_from_states(labels: list[str], states: list[tuple[int, ...]]):
         frozenset((x, y)) for x, y in one_one if x != y and (y, x) in one_one
     }
     return one_zero, one_one, equivalences, never_true
+
+
+def collapse_scan(logic: Logic) -> CollapseReport:
+    """Collapse inference over every (d-1)-subset of atoms in each round."""
+    d = logic.dimension
+    parent: dict[str, str] = {a.label: a.label for a in logic.atoms}
+
+    def find(x: str) -> str:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    found: list[Identification] = []
+    merged = True
+    while merged:
+        merged = False
+        adjacency: dict[str, set[str]] = {}
+        for ctx in logic.contexts:
+            reps = sorted({find(m) for m in ctx.members})
+            for x, y in itertools.combinations(reps, 2):
+                adjacency.setdefault(x, set()).add(y)
+                adjacency.setdefault(y, set()).add(x)
+        nodes = sorted(adjacency)
+        for witness in itertools.combinations(nodes, d - 1):
+            if any(
+                y not in adjacency[x]
+                for x, y in itertools.combinations(witness, 2)
+            ):
+                continue
+            commons = sorted(
+                z for z in nodes
+                if z not in witness and all(z in adjacency[w] for w in witness)
+            )
+            for x, y in itertools.combinations(commons, 2):
+                rx, ry = find(x), find(y)
+                if rx == ry:
+                    continue
+                found.append(Identification(pair=tuple(sorted((x, y))), witness=witness))
+                if ry < rx:
+                    rx, ry = ry, rx
+                parent[ry] = rx
+                merged = True
+
+    found.sort(key=lambda ident: ident.pair)
+    return CollapseReport(dimension=d, forced_identifications=tuple(found))
+
+
+def pairwise_dual(logic: Logic) -> DualGraph:
+    """The context dual by intersecting every pair of contexts."""
+    edges = []
+    for c1, c2 in itertools.combinations(logic.contexts, 2):
+        shared = sorted(set(c1.members) & set(c2.members))
+        if shared:
+            edges.append(DualEdge(c1.label, c2.label, tuple(shared)))
+    return DualGraph(
+        nodes=tuple(c.label for c in logic.contexts),
+        edges=tuple(edges),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -215,6 +281,45 @@ def build_random_parity_logic(rng: random.Random) -> Logic:
         return logic
 
 
+def build_random_collapse_logic(rng: random.Random, dim: int) -> Logic:
+    """A random validated abstract logic in ``dim`` whose contexts mostly have
+    d-1 or d members, so (d-1)-cliques with several common neighbours, and
+    with them merges over several rounds, are frequent."""
+    while True:
+        n = rng.randint(dim + 1, 3 * dim)
+        labels = [f"x{i:02d}" for i in range(n)]
+        member_sets: dict[frozenset[str], None] = {}
+        for _ in range(rng.randint(2, 2 * dim)):
+            size = rng.choice([2, dim - 1, dim, dim])
+            member_sets.setdefault(frozenset(rng.sample(labels, size)))
+        used = sorted(set().union(*member_sets))
+        logic = Logic(
+            dim,
+            tuple(Atom(lbl) for lbl in used),
+            tuple(
+                Context(f"c{i}", tuple(sorted(ms)))
+                for i, ms in enumerate(member_sets)
+            ),
+        )
+        try:
+            logic.validate()
+        except ValueError:
+            continue
+        return logic
+
+
+def build_random_overlapping_contexts(rng: random.Random) -> Logic:
+    """An unvalidated abstract logic whose contexts are drawn with replacement
+    from a small pool: pairs of contexts often share several atoms, and a
+    context may repeat a member."""
+    labels = [f"x{i}" for i in range(rng.randint(3, 9))]
+    contexts = tuple(
+        Context(f"c{i}", tuple(rng.choices(labels, k=rng.randint(2, 5))))
+        for i in range(rng.randint(1, 12))
+    )
+    return Logic(5, tuple(Atom(lbl) for lbl in labels), contexts)
+
+
 # --------------------------------------------------------------------------
 # fixture wrappers handing the helpers to tests
 # --------------------------------------------------------------------------
@@ -235,8 +340,28 @@ def oracle_rules():
 
 
 @pytest.fixture(scope="session")
+def oracle_collapse():
+    return collapse_scan
+
+
+@pytest.fixture(scope="session")
+def oracle_dual():
+    return pairwise_dual
+
+
+@pytest.fixture(scope="session")
 def random_logic():
     return build_random_logic
+
+
+@pytest.fixture(scope="session")
+def random_collapse_logic():
+    return build_random_collapse_logic
+
+
+@pytest.fixture(scope="session")
+def random_overlapping_contexts():
+    return build_random_overlapping_contexts
 
 
 @pytest.fixture(scope="session")

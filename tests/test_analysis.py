@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -15,7 +16,7 @@ from greechie.analysis import (
     parity_obstruction,
     verify_realization,
 )
-from greechie.gls import load_corpus, serialize_logic
+from greechie.gls import CORPUS_FILES, load_corpus, serialize_logic
 from greechie.model import (
     AbstractLogicError,
     Atom,
@@ -516,6 +517,70 @@ class TestInferCollapses:
     def test_four_dimensional_relaxation_removes_the_force(self, corpus):
         assert infer_collapses(corpus["tight3.gls"]).pairs
         assert not infer_collapses(corpus["tight3_4d.gls"]).pairs
+
+
+def staged_collapse_logic(dim: int, stages: int) -> Logic:
+    """Pairs (aK, bK) for K = 0..stages, where pair K can only merge in the
+    round after pair K-1: until then aK and bK hang off different atoms
+    (aK-1 and bK-1) of what becomes their shared witness.  The first pair
+    shares the witness w1..w(d-1) from the start."""
+    witness = [f"w{i}" for i in range(1, dim)]
+    contexts = [(*witness, "a0"), (*witness, "b0")]
+    for k in range(1, stages + 1):
+        fillers = [f"q{k}{i}" for i in range(1, dim - 1)]
+        contexts.append((f"a{k - 1}", *fillers, f"a{k}"))
+        contexts.append((f"b{k - 1}", *fillers, f"b{k}"))
+    labels = sorted({m for ctx in contexts for m in ctx})
+    return make_logic(dim, [Atom(lbl) for lbl in labels], contexts)
+
+
+def found_after_first_round(logic: Logic, report) -> bool:
+    """Whether some identification needed an earlier merge.  The first round
+    scans the unmerged graph, so what it finds has a witness that is a clique
+    there and a pair orthogonal to all of it; a later round can only find
+    pairs the first round could not."""
+    edges = orthogonality_edges(logic)
+    for ident in report.forced_identifications:
+        members = (*ident.witness, *ident.pair)
+        for u, v in itertools.combinations(members, 2):
+            if {u, v} != set(ident.pair) and frozenset((u, v)) not in edges:
+                return True
+    return False
+
+
+class TestCollapseOracle:
+    """Full reports, witnesses and order included, against the scan over
+    every (d-1)-subset of atoms."""
+
+    @pytest.mark.parametrize("name", CORPUS_FILES)
+    def test_corpus(self, corpus, name, oracle_collapse):
+        assert infer_collapses(corpus[name]) == oracle_collapse(corpus[name])
+
+    @pytest.mark.parametrize("dim", range(3, 8))
+    def test_stars(self, dim, oracle_collapse):
+        logic = make_star(dim)
+        assert infer_collapses(logic) == oracle_collapse(logic)
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_random_logics(self, dim, oracle_collapse, random_collapse_logic):
+        rng = random.Random(f"collapse-{dim}")
+        for _ in range(200):
+            logic = random_collapse_logic(rng, dim)
+            assert infer_collapses(logic) == oracle_collapse(logic)
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_merges_over_several_rounds(self, dim, oracle_collapse):
+        logic = staged_collapse_logic(dim, stages=3)
+        report = infer_collapses(logic)
+        assert report == oracle_collapse(logic)
+        assert [ident.pair for ident in report.forced_identifications] == [
+            (f"a{k}", f"b{k}") for k in range(4)
+        ]
+        assert found_after_first_round(logic, report)
+
+    def test_first_round_finds_tight3(self, corpus):
+        logic = corpus["tight3.gls"]
+        assert not found_after_first_round(logic, infer_collapses(logic))
 
 
 class TestMakeStar:

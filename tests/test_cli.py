@@ -463,6 +463,41 @@ class TestDotAndStar:
         assert target.read_text(encoding="utf-8").startswith("graph logic {")
 
 
+@pytest.fixture(scope="module")
+def long_chain(tmp_path_factory) -> str:
+    """1 500 three-atom contexts in dimension 3, each sharing one atom with the next."""
+    k = 1500
+    lines = ["dim 3"]
+    lines += [f"atom L{i}" for i in range(k + 1)]
+    lines += [f"atom M{i}" for i in range(k)]
+    lines += [f"context c{i} L{i} M{i} L{i + 1}" for i in range(k)]
+    path = tmp_path_factory.mktemp("deep") / "chain.gls"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+class TestDeepInputs:
+    def test_collapse_on_the_largest_star(self, capsys, tmp_path):
+        path = tmp_path / "star26.gls"
+        path.write_text(serialize_logic(make_star(26)), encoding="utf-8")
+        code, out, err = run_cli(capsys, "collapse", str(path))
+        assert (code, out, err) == (0, "no forced identifications\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("collapse",), "no forced identifications"),
+            (("dual", "--json"), '"right": "c1499"'),
+            (("parity",), "no parity certificate"),
+            (("dot", "--mode", "tkadlec"), 'c_c1498 -- c_c1499 [label="L1499"];'),
+        ],
+    )
+    def test_long_chain(self, capsys, long_chain, argv, expected):
+        code, out, err = run_cli(capsys, *argv, long_chain)
+        assert (code, err) == (0, "")
+        assert expected in out
+
+
 class TestInstalledEntryPoint:
     def test_help_runs(self):
         result = subprocess.run(

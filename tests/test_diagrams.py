@@ -7,10 +7,12 @@ undirected edges so assertions can compare against the logic.
 
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
 
+from greechie import diagrams
 from greechie.diagrams import (
     DOT_MODES,
     DualEdge,
@@ -126,6 +128,23 @@ class TestTkadlecDual:
         dual = tkadlec_dual(logic)
         assert DualEdge(left="a", right="b", atoms=("A", "B")) in dual.edges
         assert dual.degree("a") == 2
+
+
+    def test_agrees_with_pairwise_intersection(
+        self, monkeypatch, oracle_dual, random_overlapping_contexts
+    ):
+        rng = random.Random(20261018)
+        logics = [random_overlapping_contexts(rng) for _ in range(300)]
+        got = [(tkadlec_dual(logic), emit_dot(logic, "tkadlec")) for logic in logics]
+        monkeypatch.setattr(diagrams, "tkadlec_dual", oracle_dual)
+        expected = [(oracle_dual(logic), emit_dot(logic, "tkadlec")) for logic in logics]
+        assert got == expected
+        assert any(len(e.atoms) > 1 for dual, _ in got for e in dual.edges)
+        assert any(
+            len(set(c.members)) < len(c.members)
+            for logic in logics
+            for c in logic.contexts
+        )
 
 
 class TestEmitDot:

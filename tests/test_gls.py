@@ -106,6 +106,13 @@ class TestParseErrors:
     def test_dim_too_many_digits(self):
         self.expect_error("dim " + "9" * 5000 + "\n", 1, 5, "positive integer")
 
+    def test_long_dim_value_is_shortened(self):
+        with pytest.raises(GlsParseError) as err:
+            parse_logic("dim " + "9" * 5000 + "\n")
+        assert (err.value.line, err.value.column) == (1, 5)
+        assert len(str(err.value)) < 120
+        assert "'99999999999999999999'... (5000 characters)" in str(err.value)
+
     def test_dim_too_small(self):
         self.expect_error("dim 2\n", 1, 5, ">= 3")
 
