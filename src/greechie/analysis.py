@@ -194,97 +194,101 @@ class TwoValuedState:
 
 @dataclass(frozen=True)
 class StateSpaceReport:
-    states: tuple[TwoValuedState, ...]
-    count: int
-    empty: bool
-    unital: bool
-    separating: bool
+    """Every two-valued state of a logic, stored once.
+
+    ``labels`` is the sorted atom label tuple of the source logic.  Each state
+    is an int code with bit ``n-1-i`` set when ``labels[i]`` is true, so int
+    order is bit-string order; ``codes`` holds them in ascending order.
+    Everything else is derived from these two fields.
+    """
+
+    labels: tuple[str, ...]
+    codes: tuple[int, ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.codes)
+
+    @property
+    def empty(self) -> bool:
+        return not self.codes
+
+    @property
+    def unital(self) -> bool:
+        """Every atom is true in some state."""
+        return not self.empty and all(self.masks)
+
+    @property
+    def separating(self) -> bool:
+        """Every two atoms differ in some state."""
+        return not self.empty and len(set(self.masks)) == len(self.masks)
+
+    @cached_property
+    def bit_strings(self) -> tuple[str, ...]:
+        """Each state as its bit string in ``labels`` order, as ``--list`` prints it."""
+        return tuple(format(code, f"0{len(self.labels)}b") for code in self.codes)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Per atom, in label order, the states where it is true: the atom's
+        column of the state bit matrix read as a number, first state most
+        significant."""
+        if self.empty:
+            return (0,) * len(self.labels)
+        return tuple(int("".join(column), 2) for column in zip(*self.bit_strings))
+
+    @cached_property
+    def states(self) -> tuple[TwoValuedState, ...]:
+        """The states as objects, built only when asked for."""
+        return tuple(TwoValuedState(self.labels, tuple(map(int, s))) for s in self.bit_strings)
 
 
 def enumerate_states(logic: Logic) -> StateSpaceReport:
-    """Enumerate every two-valued state by depth-first search over contexts.
+    """Enumerate every two-valued state as an exact cover of the contexts by atoms.
 
-    Branches on the undecided members of the first context that has no true
-    atom yet.  Assigning 1 zeroes the atom's peers in every context it
-    belongs to; a context reduced to a single unassigned member with all
-    others 0 forces that member to 1.  The search is exhaustive and exact;
-    states come out sorted by their bit strings.
+    Atoms and contexts are int masks (``labels[0]`` the most significant
+    bit), and an atom's ``blocks`` mask is the union of its contexts.  An
+    explicit stack of ``(chosen, blocked, uncovered)`` nodes branches, as
+    Knuth's Algorithm X does, on the uncovered context with the fewest open
+    members: one open member forces it, none ends the branch.  Choosing an
+    atom blocks every atom it shares a context with, so no context gets a
+    second true atom and nothing is ever undone.
     """
     labels = logic.labels
-    index = {lbl: i for i, lbl in enumerate(labels)}
-    contexts = [tuple(index[m] for m in c.members) for c in logic.contexts]
-    member_of: list[list[int]] = [[] for _ in labels]
-    for k, members in enumerate(contexts):
-        for i in members:
-            member_of[i].append(k)
+    position = {lbl: len(labels) - 1 - i for i, lbl in enumerate(labels)}
+    contexts: list[int] = []
+    blocks = [0] * len(labels)
+    for ctx in logic.contexts:
+        mask = sum(1 << position[m] for m in set(ctx.members))
+        for m in ctx.members:
+            blocks[position[m]] |= mask
+        contexts.append(mask)
 
-    value: list[int] = [-1] * len(labels)
-    trail: list[int] = []
-
-    def assign(i: int, v: int) -> bool:
-        """Set atom i to v, propagate, return False on contradiction."""
-        if value[i] != -1:
-            return value[i] == v
-        value[i] = v
-        trail.append(i)
-        for k in member_of[i]:
-            members = contexts[k]
-            if v == 1:
-                for j in members:
-                    if j != i and not assign(j, 0):
-                        return False
-            else:
-                unknown = [j for j in members if value[j] == -1]
-                trues = sum(1 for j in members if value[j] == 1)
-                if trues == 0:
-                    if not unknown:
-                        return False
-                    if len(unknown) == 1 and not assign(unknown[0], 1):
-                        return False
-        return True
-
-    states: list[tuple[int, ...]] = []
-
-    def undecided_context() -> tuple[int, ...] | None:
-        for members in contexts:
-            if not any(value[j] == 1 for j in members):
-                return members
-        return None
-
-    def search() -> None:
-        members = undecided_context()
-        if members is None:
-            assert all(v != -1 for v in value)
-            states.append(tuple(value))
-            return
-        for i in members:
-            if value[i] == 0:
+    codes: list[int] = []
+    stack = [(0, 0, contexts)]
+    while stack:
+        chosen, blocked, uncovered = stack.pop()
+        rest: list[int] = []
+        branch, fewest = None, 0
+        for ctx in uncovered:
+            if ctx & chosen:
                 continue
-            mark = len(trail)
-            if assign(i, 1):
-                search()
-            while len(trail) > mark:
-                value[trail.pop()] = -1
-
-    search()
-    states.sort()
-
-    packed = tuple(TwoValuedState(labels, bits) for bits in states)
-    count = len(packed)
-    unital = count > 0 and all(
-        any(s.bits[i] == 1 for s in packed) for i in range(len(labels))
-    )
-    separating = count > 0 and all(
-        any(s.bits[i] != s.bits[j] for s in packed)
-        for i, j in itertools.combinations(range(len(labels)), 2)
-    )
-    return StateSpaceReport(
-        states=packed,
-        count=count,
-        empty=count == 0,
-        unital=unital,
-        separating=separating,
-    )
+            open_members = ctx & ~blocked
+            size = open_members.bit_count()
+            if branch is None or size < fewest:
+                branch, fewest = open_members, size
+                if not size:
+                    break
+            rest.append(ctx)
+        if branch is None:
+            codes.append(chosen)
+            continue
+        while branch:
+            atom = branch & -branch
+            stack.append((chosen | atom, blocked | blocks[atom.bit_length() - 1], rest))
+            branch ^= atom
+    codes.sort()
+    return StateSpaceReport(labels, tuple(codes))
 
 
 # --------------------------------------------------------------------------
@@ -314,7 +318,7 @@ class RuleSet:
 def derive_rules(report: StateSpaceReport, logic: Logic) -> RuleSet:
     """Extract the one-zero and one-one/zero-zero rules from a state set."""
     labels = logic.labels
-    if report.states and report.states[0].labels != labels:
+    if report.labels != labels:
         raise LogicError("state report does not belong to this logic")
     if report.empty:
         return RuleSet(
@@ -325,33 +329,19 @@ def derive_rules(report: StateSpaceReport, logic: Logic) -> RuleSet:
             explosion=True,
         )
 
-    n = len(labels)
-    masks = [0] * n
-    for s_index, state in enumerate(report.states):
-        for i, bit in enumerate(state.bits):
-            if bit:
-                masks[i] |= 1 << s_index
-
-    never_true = tuple(labels[i] for i in range(n) if masks[i] == 0)
-    one_zero = set()
-    one_one = set()
-    for i, j in itertools.product(range(n), repeat=2):
-        if masks[i] == 0:
-            continue
-        if i != j and masks[i] & masks[j] == 0:
-            one_zero.add((labels[i], labels[j]))
-        if masks[i] & ~masks[j] == 0:
-            one_one.add((labels[i], labels[j]))
-    equivalences = frozenset(
-        frozenset((x, y))
-        for x, y in one_one
-        if x < y and (y, x) in one_one
+    masks = dict(zip(labels, report.masks))
+    possible = [(x, mx) for x, mx in masks.items() if mx]
+    one_zero = frozenset(
+        (x, y) for x, mx in possible for y, my in masks.items() if x != y and not mx & my
     )
+    one_one = frozenset((x, y) for x, mx in possible for y, my in masks.items() if not mx & ~my)
     return RuleSet(
-        one_zero=frozenset(one_zero),
-        one_one=frozenset(one_one),
-        equivalences=equivalences,
-        never_true=never_true,
+        one_zero=one_zero,
+        one_one=one_one,
+        equivalences=frozenset(
+            frozenset((x, y)) for x, y in one_one if x < y and (y, x) in one_one
+        ),
+        never_true=tuple(x for x, mx in masks.items() if not mx),
         explosion=False,
     )
 

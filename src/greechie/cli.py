@@ -84,9 +84,9 @@ def _report_states(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[s
             f"unital={report.unital} separating={report.separating}"
         ]
     if args.list:
-        doc["states"] = [s.bit_string() for s in report.states]
+        doc["states"] = list(report.bit_strings)
         lines.append("atoms: " + " ".join(logic.labels))
-        lines.extend(s.bit_string() for s in report.states)
+        lines.extend(report.bit_strings)
     return doc, lines, report.empty
 
 

@@ -24,7 +24,9 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .model import Atom, Context, Logic, LogicChecker, LogicError, Ray, format_quad, parse_quad
+from .model import (
+    Atom, Context, Logic, LogicChecker, LogicError, Ray, format_quad, parse_quad, quote_token,
+)
 from .model import rays_collinear  # noqa: F401  (bench/spans.py traces it under this name)
 
 CORPUS_FILES = (
@@ -72,8 +74,7 @@ def _parse_dimension(value: str, lineno: int, col: int) -> int:
             return int(value)
     except ValueError:  # more digits than int() converts
         pass
-    shown = repr(value) if len(value) <= 20 else f"{value[:20]!r}... ({len(value)} characters)"
-    raise GlsParseError(f"dimension must be a positive integer, got {shown}", lineno, col)
+    raise GlsParseError(f"dimension must be a positive integer, got {quote_token(value)}", lineno, col)
 
 
 def parse_logic(text: str) -> Logic:
@@ -127,7 +128,7 @@ def parse_logic(text: str) -> Logic:
                 contexts.append(context)
 
             else:
-                raise GlsParseError(f"unknown keyword {keyword!r}", lineno, kw_col)
+                raise GlsParseError(f"unknown keyword {quote_token(keyword)}", lineno, kw_col)
         except LogicError as exc:
             # The checker names the token; Ray's own fault (the zero ray) has
             # none and lies in the components.

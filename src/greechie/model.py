@@ -138,6 +138,11 @@ _TERM_RE = re.compile(
 )
 
 
+def quote_token(token: str) -> str:
+    """``repr(token)``, cut to its first 20 characters plus its length when longer."""
+    return repr(token) if len(token) <= 20 else f"{token[:20]!r}... ({len(token)} characters)"
+
+
 def parse_quad(token: str) -> Quad:
     """Parse a component token: one or two signed terms, each a rational or a
     rational times sqrt(2) (suffix "r2"; bare "r2" means 1*sqrt(2)).
@@ -145,14 +150,15 @@ def parse_quad(token: str) -> Quad:
     Raises ValueError for anything outside Q(sqrt(2)); other irrationals are
     deliberately unsupported.
     """
+    shown = quote_token(token)
     pos = 0
     terms: list[Quad] = []
     while pos < len(token):
         m = _TERM_RE.match(token, pos)
         if m is None or m.end() == m.start():
-            raise ValueError(f"invalid component token {token!r} (only Q(√2) values are supported)")
+            raise ValueError(f"invalid component token {shown} (only Q(√2) values are supported)")
         if terms and m.group("sign") == "":
-            raise ValueError(f"invalid component token {token!r}: missing '+' or '-' between terms")
+            raise ValueError(f"invalid component token {shown}: missing '+' or '-' between terms")
         sign = -1 if m.group("sign") == "-" else 1
         try:
             if m.group("r2"):
@@ -161,10 +167,10 @@ def parse_quad(token: str) -> Quad:
             else:
                 terms.append(Quad(sign * Fraction(m.group("plain"))))
         except ZeroDivisionError:
-            raise ValueError(f"invalid component token {token!r}: zero denominator") from None
+            raise ValueError(f"invalid component token {shown}: zero denominator") from None
         pos = m.end()
     if not terms or len(terms) > 2:
-        raise ValueError(f"invalid component token {token!r}")
+        raise ValueError(f"invalid component token {shown}")
     total = terms[0]
     for t in terms[1:]:
         total = total + t

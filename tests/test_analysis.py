@@ -309,6 +309,26 @@ class TestEnumerateStates:
             assert got == oracle_bitmask(logic)
             assert got == oracle_choices(logic)
 
+    def test_derived_flags_agree_with_oracle_states(
+        self, oracle_bitmask, random_logic, random_parity_logic
+    ):
+        import random
+
+        rng = random.Random(97)
+        logics = [random_logic(rng) for _ in range(60)]
+        rng = random.Random(53)
+        logics += [random_parity_logic(rng) for _ in range(5)]  # empty state spaces
+        for logic in logics:
+            states = oracle_bitmask(logic)
+            columns = list(zip(*states)) or [()] * len(logic.labels)
+            report = enumerate_states(logic)
+            assert report.count == len(states)
+            assert report.empty == (not states)
+            assert report.unital == (bool(states) and all(any(c) for c in columns))
+            assert report.separating == (
+                bool(states) and len(set(columns)) == len(columns)
+            )
+
 
 class TestDeriveRules:
     def test_gamma1_rules(self, gamma1):
@@ -435,6 +455,10 @@ class TestDeriveRules:
         report = enumerate_states(corpus["tight3.gls"])
         with pytest.raises(LogicError, match="does not belong"):
             derive_rules(report, gamma1)
+        empty = enumerate_states(corpus["cabello18.gls"])
+        assert empty.empty
+        with pytest.raises(LogicError, match="does not belong"):
+            derive_rules(empty, gamma1)
 
 
 class TestParityObstruction:

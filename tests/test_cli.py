@@ -476,6 +476,18 @@ def long_chain(tmp_path_factory) -> str:
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def pair_chain(tmp_path_factory) -> str:
+    """1 500 two-atom contexts in dimension 3, each sharing one atom with the next."""
+    k = 1500
+    lines = ["dim 3"]
+    lines += [f"atom L{i}" for i in range(k + 1)]
+    lines += [f"context c{i} L{i} L{i + 1}" for i in range(k)]
+    path = tmp_path_factory.mktemp("deep") / "pairs.gls"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
 class TestDeepInputs:
     def test_collapse_on_the_largest_star(self, capsys, tmp_path):
         path = tmp_path / "star26.gls"
@@ -496,6 +508,21 @@ class TestDeepInputs:
         code, out, err = run_cli(capsys, *argv, long_chain)
         assert (code, err) == (0, "")
         assert expected in out
+
+    def test_state_count_on_a_long_pair_chain(self, capsys, pair_chain):
+        assert run_cli(capsys, "states", "--count-only", pair_chain) == (0, "2\n", "")
+
+    def test_state_list_on_a_long_pair_chain(self, capsys, pair_chain):
+        code, out, err = run_cli(capsys, "states", "--list", pair_chain)
+        assert (code, err) == (0, "")
+        header, atoms, *states = out.splitlines()
+        assert header == "count=2 empty=False unital=True separating=False"
+        labels = atoms.split()[1:]
+        assert len(labels) == 1501
+        # The two states alternate along the chain: the even atoms, or the odd ones.
+        evens = "".join("1" if int(lbl[1:]) % 2 == 0 else "0" for lbl in labels)
+        odds = evens.translate(str.maketrans("01", "10"))
+        assert states == sorted([evens, odds])
 
 
 class TestInstalledEntryPoint:

@@ -113,6 +113,24 @@ class TestParseErrors:
         assert len(str(err.value)) < 120
         assert "'99999999999999999999'... (5000 characters)" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "line, column",
+        [
+            ("k" * 5000, 1),
+            ("atom A " + "x" * 5000 + " 0 0", 8),
+            ("atom A r2" + "1" * 5000 + " 0 0", 8),
+            ("atom A 0 " + "1" * 4000 + "/0 0", 10),
+            ("atom A 0 0 " + "1+" * 2500 + "1", 12),
+        ],
+        ids=["keyword", "foreign", "missing-sign", "zero-denominator", "three-terms"],
+    )
+    def test_long_tokens_are_shortened(self, line, column):
+        with pytest.raises(GlsParseError) as err:
+            parse_logic("dim 3\n" + line + "\n")
+        assert (err.value.line, err.value.column) == (2, column)
+        assert len(str(err.value)) < 120
+        assert "... (" in str(err.value)
+
     def test_dim_too_small(self):
         self.expect_error("dim 2\n", 1, 5, ">= 3")
 
