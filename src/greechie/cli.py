@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -181,65 +182,34 @@ def _report_quantum(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[
     pair = qm.EntangledPair(logic.dimension)
     rules = analysis.derive_rules(analysis.enumerate_states(logic), logic)
 
+    def claim(row: qm.FalsificationRow) -> str:
+        verdict = "VIOLATED" if row.violated else "consistent"
+        return f"classical 0, quantum {_fmt(row.quantum)}, {verdict}"
+
     if args.pair:
         x, y = args.pair
         for label in (x, y):
             if label not in logic.atom_map:
                 raise LogicError(f"no atom labeled {label!r}")
         prediction = qm.joint_probability(pair, logic.ray_of(x), logic.ray_of(y))
-        if (x, y) in rules.one_zero:
-            kind, classical, quantum_value = "one-zero", 0.0, prediction.prob_both
-        elif frozenset((x, y)) in rules.equivalences:
-            kind, classical = "equivalence", 0.0
-            quantum_value = prediction.marginal_left - prediction.prob_both
-        else:
-            kind, classical, quantum_value = "unconstrained", None, prediction.prob_both
-        violated = classical is not None and quantum_value > qm.PROB_TOL
-        doc = {
-            "pair": [x, y],
-            "kind": kind,
-            "classical": classical,
-            "quantum": quantum_value,
+        probs = {
             "prob_both": prediction.prob_both,
             "marginal_left": prediction.marginal_left,
             "marginal_right": prediction.marginal_right,
-            "violated": violated,
         }
-        if kind == "unconstrained":
-            lines = [
-                f"pair ({x},{y}): no classical rule, quantum {_fmt(quantum_value)}"
-            ]
+        row = qm.confront(rules, x, y, **probs)
+        doc = {**asdict(row), **probs}
+        if row.classical is None:
+            line = f"pair ({x},{y}): no classical rule, quantum {_fmt(row.quantum)}"
         else:
-            verdict = "VIOLATED" if violated else "consistent"
-            lines = [
-                f"pair ({x},{y}): classical 0, quantum {_fmt(quantum_value)}, "
-                f"{verdict} ({kind})"
-            ]
-        return doc, lines, violated
+            line = f"pair ({x},{y}): {claim(row)} ({row.kind})"
+        return doc, [line], row.violated
 
     rows = qm.falsification_report(logic, rules, pair)
-    doc = {
-        "rows": [
-            {
-                "kind": r.kind,
-                "pair": list(r.pair),
-                "classical": r.classical,
-                "quantum": r.quantum,
-                "violated": r.violated,
-            }
-            for r in rows
-        ]
-    }
-    lines = []
-    for r in rows:
-        verdict = "VIOLATED" if r.violated else "consistent"
-        lines.append(
-            f"{r.kind} ({r.pair[0]},{r.pair[1]}): classical 0, "
-            f"quantum {_fmt(r.quantum)}, {verdict}"
-        )
+    lines = [f"{r.kind} ({r.pair[0]},{r.pair[1]}): {claim(r)}" for r in rows]
     violated_count = sum(1 for r in rows if r.violated)
     lines.append(f"{violated_count} of {len(rows)} rules violated")
-    return doc, lines, violated_count > 0
+    return {"rows": [asdict(r) for r in rows]}, lines, violated_count > 0
 
 
 _HANDLERS: dict[str, Callable[[Logic, argparse.Namespace], tuple[dict, list[str], bool]]] = {

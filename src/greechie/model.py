@@ -286,30 +286,31 @@ class LogicChecker:
 
     def atom(self, a: Atom) -> None:
         if a.label in self._used:
-            raise LogicError(f"duplicate atom label {a.label!r}", token=0)
+            raise LogicError(f"duplicate atom label {quote_token(a.label)}", token=0)
         if a.ray is not None:
             if len(a.ray) != self.dimension:
                 raise LogicError(
-                    f"atom {a.label!r} has {len(a.ray)} components, expected {self.dimension}",
+                    f"atom {quote_token(a.label)} has {len(a.ray)} components, "
+                    f"expected {self.dimension}",
                     token=1,
                 )
             other = self._rays.setdefault(a.ray.key, a.label)
             if other != a.label:
                 raise LogicError(
-                    f"atom {a.label!r} duplicates the ray of atom {other!r}; "
-                    "distinct atoms must not carry the same ray",
+                    f"atom {quote_token(a.label)} duplicates the ray of atom "
+                    f"{quote_token(other)}; distinct atoms must not carry the same ray",
                     token=1,
                 )
         self._used[a.label] = False
 
     def context(self, c: Context) -> None:
         if c.label in self._contexts:
-            raise LogicError(f"duplicate context label {c.label!r}", token=0)
+            raise LogicError(f"duplicate context label {quote_token(c.label)}", token=0)
         if len(c.members) < 2:
-            raise LogicError(f"context {c.label!r} needs at least 2 members", token=0)
+            raise LogicError(f"context {quote_token(c.label)} needs at least 2 members", token=0)
         if len(c.members) > self.dimension:
             raise LogicError(
-                f"context {c.label!r} has {len(c.members)} members, "
+                f"context {quote_token(c.label)} has {len(c.members)} members, "
                 f"more than dimension {self.dimension}",
                 token=1,
             )
@@ -317,16 +318,22 @@ class LogicChecker:
         for k, m in enumerate(c.members, start=1):
             if m not in self._used:
                 raise LogicError(
-                    f"context {c.label!r} member {m!r} is not a declared atom", token=k
+                    f"context {quote_token(c.label)} member {quote_token(m)} "
+                    "is not a declared atom",
+                    token=k,
                 )
             if m in members:
-                raise LogicError(f"context {c.label!r} repeats member {m!r}", token=k)
+                raise LogicError(
+                    f"context {quote_token(c.label)} repeats member {quote_token(m)}", token=k
+                )
             members.add(m)
         key = frozenset(members)
         if key in self._member_sets:
             other = self._member_sets[key]
             raise LogicError(
-                f"context {c.label!r} has the same member set as context {other!r}", token=0
+                f"context {quote_token(c.label)} has the same member set as context "
+                f"{quote_token(other)}",
+                token=0,
             )
         self._contexts.add(c.label)
         self._member_sets[key] = c.label
@@ -335,7 +342,7 @@ class LogicChecker:
     def finish(self) -> None:
         for label, used in self._used.items():
             if not used:
-                raise LogicError(f"atom {label!r} occurs in no context")
+                raise LogicError(f"atom {quote_token(label)} occurs in no context")
 
 
 @dataclass(frozen=True)

@@ -8,20 +8,20 @@ Convention, fixed once: the two-particle state is psi = (1/sqrt(d)) sum_i
 |i>|i>, held as the d x d amplitude matrix eye(d)/sqrt(d).  For real rays
 this state predicts prob(a and b) = (a.b)^2 / d, perfectly correlating equal
 rays; any singlet-type state used in spin language equals it up to a local
-basis change that leaves every real-ray probability unchanged.  The engine
-computes probabilities by explicit tensor contraction, never from the closed
-formula.
+basis change that leaves every real-ray probability unchanged.  Every
+probability comes from one batched contraction of projector pairs against
+psi (``_contract``), never from the closed formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
 from .analysis import RuleSet
-from .model import AbstractLogicError, Context, Logic, LogicError, Ray
+from .model import Context, Logic, LogicError, Ray
 
 PROB_TOL = 1e-9
 
@@ -81,6 +81,23 @@ def unit_vector(ray: Ray | Sequence[float], dimension: int) -> np.ndarray:
     return values / norm
 
 
+def _contract(pair: EntangledPair, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """Rows (prob_both, marginal_left, marginal_right), one per ray pair.
+
+    ``lefts`` and ``rights`` are (n, d) stacks of unit vectors a and b.  The
+    operators P_a (x) P_b, P_a (x) 1 and 1 (x) P_b of every pair are stacked
+    as left and right factors and contracted against the amplitude matrix in
+    one einsum: <psi| L (x) R |psi> = sum psi[i,j] L[i,k] R[j,l] psi[k,l].
+    """
+    proj_a = np.einsum("ni,nk->nik", lefts, lefts)
+    proj_b = np.einsum("nj,nl->njl", rights, rights)
+    identity = np.broadcast_to(np.eye(pair.dimension), proj_a.shape)
+    left = np.stack([proj_a, proj_a, identity], axis=1)
+    right = np.stack([proj_b, identity, proj_b], axis=1)
+    psi = pair.amplitudes
+    return np.einsum("ij,nsik,nsjl,kl->ns", psi, left, right, psi, optimize=True)
+
+
 def joint_probability(
     pair: EntangledPair,
     a: Ray | Sequence[float],
@@ -88,36 +105,57 @@ def joint_probability(
     classical_bound: ClassicalBound = "unconstrained",
 ) -> JointPrediction:
     """Probability that both sides give 1 when side one measures along a and
-    side two along b, by contracting P_a (x) P_b against the state.
+    side two along b, by contracting P_a (x) P_b against the state: the
+    batched contraction for a batch of one pair.
     """
     d = pair.dimension
-    ua = unit_vector(a, d)
-    ub = unit_vector(b, d)
-    proj_a = np.outer(ua, ua)
-    proj_b = np.outer(ub, ub)
-    identity = np.eye(d)
-    vec = pair.amplitudes.reshape(d * d)
-
-    def expectation(left: np.ndarray, right: np.ndarray) -> float:
-        return float(vec @ np.kron(left, right) @ vec)
-
-    return JointPrediction(
-        prob_both=expectation(proj_a, proj_b),
-        marginal_left=expectation(proj_a, identity),
-        marginal_right=expectation(identity, proj_b),
-        classical_bound=classical_bound,
-    )
+    probs = _contract(pair, unit_vector(a, d)[None], unit_vector(b, d)[None])
+    return JointPrediction(*probs[0].tolist(), classical_bound=classical_bound)
 
 
 @dataclass(frozen=True)
 class FalsificationRow:
-    """One classical rule against the quantum prediction for its pair."""
+    """One atom pair: the classical rule it falls under and the quantum figure
+    held against it.  An unconstrained pair has classical None and is never
+    violated."""
 
-    kind: Literal["one-zero", "equivalence"]
+    kind: Literal["one-zero", "equivalence", "unconstrained"]
     pair: tuple[str, str]
-    classical: float
+    classical: float | None
     quantum: float
     violated: bool
+
+
+def confront(
+    rules: RuleSet,
+    x: str,
+    y: str,
+    prob_both: float,
+    marginal_left: float,
+    marginal_right: float,
+) -> FalsificationRow:
+    """Classify the pair (x, y) against the rules and hold its probabilities
+    against the classical bound.
+
+    A one-zero rule (x, y) classically forbids both outcomes occurring, so
+    its classical joint probability is 0; quantum gives prob_both(x, y).  An
+    equivalence {x, y} classically forbids x occurring without y, so the
+    quantum figure is P(x and not y) = marginal(x) - prob_both(x, y).  Any
+    other pair is unconstrained and reports prob_both.  A constrained row is
+    violated when the quantum value exceeds the tolerance.
+    """
+    if (x, y) in rules.one_zero:
+        kind, bound = "one-zero", "zero"
+    elif frozenset((x, y)) in rules.equivalences:
+        kind, bound = "equivalence", "equal"
+    else:
+        kind, bound = "unconstrained", "unconstrained"
+    # Raises when prob_both leaves [0, min(marginals)].
+    JointPrediction(prob_both, marginal_left, marginal_right, bound)
+    quantum = marginal_left - prob_both if kind == "equivalence" else prob_both
+    classical = None if kind == "unconstrained" else 0.0
+    violated = classical is not None and quantum > PROB_TOL
+    return FalsificationRow(kind, (x, y), classical, quantum, violated)
 
 
 def falsification_report(
@@ -125,48 +163,27 @@ def falsification_report(
     rules: RuleSet,
     pair: EntangledPair,
 ) -> tuple[FalsificationRow, ...]:
-    """Confront every derived rule with the entangled-state prediction.
+    """Confront every derived rule with the entangled-state prediction: the
+    one-zero pairs in sorted order, then the equivalences as sorted pairs.
 
-    A one-zero rule (x, y) classically forbids both outcomes occurring, so
-    its classical joint probability is 0; quantum gives prob_both(x, y).  An
-    equivalence {x, y} classically forbids x occurring without y, so the
-    quantum figure is P(x and not y) = marginal(x) - prob_both(x, y).  A row
-    is violated when the quantum value exceeds the tolerance.
+    Every atom's ray is looked up first, so an abstract logic is refused
+    even when it has no rules.
     """
     if pair.dimension != logic.dimension:
         raise LogicError(
             f"entangled pair has dimension {pair.dimension}, "
             f"logic has {logic.dimension}"
         )
-    rows: list[FalsificationRow] = []
-    for x, y in sorted(rules.one_zero):
-        prediction = joint_probability(
-            pair, logic.ray_of(x), logic.ray_of(y), classical_bound="zero"
-        )
-        rows.append(
-            FalsificationRow(
-                kind="one-zero",
-                pair=(x, y),
-                classical=0.0,
-                quantum=prediction.prob_both,
-                violated=prediction.prob_both > PROB_TOL,
-            )
-        )
-    for x, y in sorted(tuple(sorted(e)) for e in rules.equivalences):
-        prediction = joint_probability(
-            pair, logic.ray_of(x), logic.ray_of(y), classical_bound="equal"
-        )
-        mismatch = prediction.marginal_left - prediction.prob_both
-        rows.append(
-            FalsificationRow(
-                kind="equivalence",
-                pair=(x, y),
-                classical=0.0,
-                quantum=mismatch,
-                violated=mismatch > PROB_TOL,
-            )
-        )
-    return tuple(rows)
+    d = pair.dimension
+    units = np.array([unit_vector(logic.ray_of(x), d) for x in logic.labels]).reshape(-1, d)
+    index = {x: i for i, x in enumerate(logic.labels)}
+    pairs = sorted(rules.one_zero) + sorted(tuple(sorted(e)) for e in rules.equivalences)
+    probs = _contract(
+        pair,
+        units[[index[x] for x, _ in pairs]],
+        units[[index[y] for _, y in pairs]],
+    )
+    return tuple(confront(rules, x, y, *p) for (x, y), p in zip(pairs, probs.tolist()))
 
 
 def context_completeness(
@@ -185,12 +202,12 @@ def context_completeness(
         if not matches:
             raise LogicError(f"no context labeled {context!r}")
         context = matches[0]
-    if len(context.members) != pair.dimension:
+    d = pair.dimension
+    if len(context.members) != d:
         raise LogicError(
             f"context {context.label!r} has {len(context.members)} members; "
-            f"completeness needs exactly {pair.dimension}"
+            f"completeness needs exactly {d}"
         )
-    return sum(
-        joint_probability(pair, logic.ray_of(m), b).prob_both
-        for m in context.members
-    )
+    lefts = np.array([unit_vector(logic.ray_of(m), d) for m in context.members])
+    rights = np.broadcast_to(unit_vector(b, d), lefts.shape)
+    return sum(_contract(pair, lefts, rights)[:, 0].tolist())

@@ -4,21 +4,26 @@ The oracle enumerators here deliberately share no code or strategy with the
 package: one scans all 2^n assignments, the other recurses over per-context
 choices without any propagation.  The collapse and dual oracles keep the
 direct definitions the package replaced with faster searches: every
-(d-1)-subset of atoms, and every pair of contexts.  Tests compare the
-package against them.
+(d-1)-subset of atoms, and every pair of contexts.  The quantum oracle keeps
+the one-pair Kronecker-product contraction the batched einsum replaced.
+Tests compare the package against them.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
+from typing import Sequence
 
+import numpy as np
 import pytest
 
 from greechie.analysis import CollapseReport, Identification
 from greechie.diagrams import DualEdge, DualGraph
 from greechie.gls import CORPUS_FILES, load_corpus
-from greechie.model import Atom, Context, Logic
+from greechie.model import Atom, Context, Logic, Quad, Ray
+from greechie.quantum import ClassicalBound, EntangledPair, JointPrediction, unit_vector
 
 
 # --------------------------------------------------------------------------
@@ -53,7 +58,12 @@ def bitmask_scan(logic: Logic) -> list[tuple[int, ...]]:
     """Brute force over all 2^n assignments; n must stay small."""
     labels = sorted(a.label for a in logic.atoms)
     index = {lbl: i for i, lbl in enumerate(labels)}
-    masks = [sum(1 << index[m] for m in c.members) for c in logic.contexts]
+    masks = []
+    for c in logic.contexts:
+        mask = 0
+        for m in c.members:
+            mask |= 1 << index[m]  # a repeated member sets its bit once
+        masks.append(mask)
     found = []
     for bits in range(1 << len(labels)):
         if all((bits & mask).bit_count() == 1 for mask in masks):
@@ -173,6 +183,32 @@ def pairwise_dual(logic: Logic) -> DualGraph:
     return DualGraph(
         nodes=tuple(c.label for c in logic.contexts),
         edges=tuple(edges),
+    )
+
+
+def kron_joint_probability(
+    pair: EntangledPair,
+    a: Ray | Sequence[float],
+    b: Ray | Sequence[float],
+    classical_bound: ClassicalBound = "unconstrained",
+) -> JointPrediction:
+    """One ray pair, contracted through three d^2 x d^2 Kronecker products."""
+    d = pair.dimension
+    ua = unit_vector(a, d)
+    ub = unit_vector(b, d)
+    proj_a = np.outer(ua, ua)
+    proj_b = np.outer(ub, ub)
+    identity = np.eye(d)
+    vec = pair.amplitudes.reshape(d * d)
+
+    def expectation(left: np.ndarray, right: np.ndarray) -> float:
+        return float(vec @ np.kron(left, right) @ vec)
+
+    return JointPrediction(
+        prob_both=expectation(proj_a, proj_b),
+        marginal_left=expectation(proj_a, identity),
+        marginal_right=expectation(identity, proj_b),
+        classical_bound=classical_bound,
     )
 
 
@@ -320,6 +356,30 @@ def build_random_overlapping_contexts(rng: random.Random) -> Logic:
     return Logic(5, tuple(Atom(lbl) for lbl in labels), contexts)
 
 
+def build_random_quad_ray(rng: random.Random, d: int) -> Ray:
+    """A nonzero ray whose components a + b*sqrt(2) have small integer or
+    half-integer a and b."""
+    while True:
+        components = tuple(
+            Quad(Fraction(rng.randint(-4, 4), rng.choice([1, 2])), Fraction(rng.randint(-2, 2)))
+            for _ in range(d)
+        )
+        if any(not c.is_zero for c in components):
+            return Ray(components)
+
+
+def with_random_rays(logic: Logic, rng: random.Random) -> Logic:
+    """The same atoms and contexts, each atom given a random Q(sqrt 2) ray.
+
+    Contexts are not orthogonal under these rays; the quantum module does
+    not need them to be."""
+    return Logic(
+        logic.dimension,
+        tuple(Atom(a.label, build_random_quad_ray(rng, logic.dimension)) for a in logic.atoms),
+        logic.contexts,
+    )
+
+
 # --------------------------------------------------------------------------
 # fixture wrappers handing the helpers to tests
 # --------------------------------------------------------------------------
@@ -337,6 +397,11 @@ def oracle_choices():
 @pytest.fixture(scope="session")
 def oracle_rules():
     return rules_from_states
+
+
+@pytest.fixture(scope="session")
+def oracle_kron():
+    return kron_joint_probability
 
 
 @pytest.fixture(scope="session")
@@ -362,6 +427,16 @@ def random_collapse_logic():
 @pytest.fixture(scope="session")
 def random_overlapping_contexts():
     return build_random_overlapping_contexts
+
+
+@pytest.fixture(scope="session")
+def random_quad_ray():
+    return build_random_quad_ray
+
+
+@pytest.fixture(scope="session")
+def random_rays():
+    return with_random_rays
 
 
 @pytest.fixture(scope="session")

@@ -309,6 +309,34 @@ class TestEnumerateStates:
             assert got == oracle_bitmask(logic)
             assert got == oracle_choices(logic)
 
+    def test_repeated_members_count_once(self, oracle_bitmask):
+        logic = Logic(
+            5,
+            tuple(Atom(f"x{i}") for i in range(3)),
+            (
+                Context("c0", ("x2", "x2", "x0", "x1", "x0")),
+                Context("c1", ("x0", "x1", "x1", "x0")),
+            ),
+        )
+        expected = [(0, 1, 0), (1, 0, 0)]
+        assert [s.bits for s in enumerate_states(logic).states] == expected
+        assert oracle_bitmask(logic) == expected
+
+    def test_agrees_with_bitmask_scan_on_overlapping_contexts(
+        self, oracle_bitmask, random_overlapping_contexts
+    ):
+        rng = random.Random(5)
+        checked = 0
+        for _ in range(300):
+            logic = random_overlapping_contexts(rng)
+            # The scan leaves an atom in no context free; the search does not.
+            if {m for c in logic.contexts for m in c.members} != set(logic.labels):
+                continue
+            got = [s.bits for s in enumerate_states(logic).states]
+            assert got == oracle_bitmask(logic)
+            checked += 1
+        assert checked >= 100
+
     def test_derived_flags_agree_with_oracle_states(
         self, oracle_bitmask, random_logic, random_parity_logic
     ):

@@ -13,7 +13,8 @@ import pytest
 
 from greechie.analysis import make_star
 from greechie.cli import main
-from greechie.gls import corpus_path, serialize_logic
+from greechie.gls import corpus_path, load_corpus, serialize_logic
+from greechie.model import Atom, Logic
 
 
 def path_of(name: str) -> str:
@@ -160,6 +161,17 @@ class TestSingleFileText:
             "consistent (one-zero)\n"
         )
 
+    @pytest.mark.parametrize("argument", ["K,K'", "K',K"])
+    def test_quantum_pair_equivalence(self, capsys, argument):
+        code, out, _ = run_cli(
+            capsys, "quantum", "--pair", argument, path_of("gamma3pair.gls")
+        )
+        assert code == 0
+        assert out == (
+            f"pair ({argument}): classical 0, quantum 0.037037037, "
+            "VIOLATED (equivalence)\n"
+        )
+
     def test_quantum_pair_unconstrained(self, capsys):
         _, out, _ = run_cli(
             capsys, "quantum", "--pair", "A,M", path_of("gamma1.gls")
@@ -267,6 +279,18 @@ class TestExitCodes:
     def test_quantum_rejects_abstract_logic(self, capsys):
         assert run_cli(capsys, "quantum", path_of("star4.gls"))[0] == 2
 
+    def test_quantum_rejects_abstract_logic_without_rules(self, capsys, tmp_path):
+        logic = load_corpus("cabello18.gls")
+        stripped = Logic(
+            logic.dimension, tuple(Atom(a.label) for a in logic.atoms), logic.contexts
+        )
+        path = tmp_path / "cabello18-abstract.gls"
+        path.write_text(serialize_logic(stripped), encoding="utf-8")
+        code, out, err = run_cli(capsys, "quantum", str(path))
+        assert code == 2
+        assert out == ""
+        assert "carries no ray" in err
+
     def test_quantum_bad_pair_syntax(self, capsys):
         assert (
             run_cli(
@@ -350,6 +374,35 @@ class TestJsonReports:
         assert report["kind"] == "one-zero"
         assert report["violated"] is True
         assert report["quantum"] == pytest.approx(1 / 27, abs=1e-12)
+
+    def test_quantum_equivalence_pair_json(self, capsys, schema):
+        code, out, _ = run_cli(
+            capsys, "quantum", "--json", "--pair", "K,K'", path_of("gamma3pair.gls")
+        )
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema)
+        report = payload["reports"][0]
+        assert report["pair"] == ["K", "K'"]
+        assert report["kind"] == "equivalence"
+        assert report["classical"] == 0.0
+        assert report["violated"] is True
+        assert report["quantum"] == pytest.approx(1 / 27, abs=1e-12)
+        assert report["prob_both"] == pytest.approx(8 / 27, abs=1e-12)
+        assert report["marginal_left"] == pytest.approx(1 / 3, abs=1e-12)
+        assert report["marginal_right"] == pytest.approx(1 / 3, abs=1e-12)
+
+    def test_quantum_unconstrained_pair_json(self, capsys, schema):
+        _, out, _ = run_cli(
+            capsys, "quantum", "--json", "--pair", "A,M", path_of("gamma1.gls")
+        )
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema)
+        report = payload["reports"][0]
+        assert (report["kind"], report["classical"], report["violated"]) == (
+            "unconstrained", None, False
+        )
+        assert report["quantum"] == report["prob_both"]
 
     def test_check_json_on_failure(self, capsys, schema, broken_file):
         _, out, _ = run_cli(capsys, "check", "--json", broken_file)

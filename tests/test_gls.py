@@ -131,6 +131,36 @@ class TestParseErrors:
         assert len(str(err.value)) < 120
         assert "... (" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            ("A", "duplicate atom label 'A'"),
+            ("A" * 5000, "duplicate atom label 'AAAAAAAAAAAAAAAAAAAA'... (5000 characters)"),
+        ],
+        ids=["short", "long"],
+    )
+    def test_duplicate_atom_label_is_shortened(self, label, message):
+        with pytest.raises(GlsParseError) as err:
+            parse_logic(f"dim 3\natom {label}\natom {label}\n")
+        assert (err.value.line, err.value.column) == (3, 6)
+        assert err.value.message == message
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            ("a", "duplicate context label 'a'"),
+            ("c" * 5000, "duplicate context label 'cccccccccccccccccccc'... (5000 characters)"),
+        ],
+        ids=["short", "long"],
+    )
+    def test_duplicate_context_label_is_shortened(self, label, message):
+        with pytest.raises(GlsParseError) as err:
+            parse_logic(
+                f"dim 3\natom A\natom B\natom C\ncontext {label} A B\ncontext {label} B C\n"
+            )
+        assert (err.value.line, err.value.column) == (6, 9)
+        assert err.value.message == message
+
     def test_dim_too_small(self):
         self.expect_error("dim 2\n", 1, 5, ">= 3")
 

@@ -1,7 +1,9 @@
 """Entangled-state predictions against the classically derived rules.
 
-The engine computes probabilities by tensor contraction; these tests check it
-against the independent closed form (a.b)^2 / d for unit vectors a, b.
+The engine computes probabilities by one batched tensor contraction; these
+tests check it against the independent closed form (a.b)^2 / d for unit
+vectors a, b, and against the one-pair Kronecker-product contraction kept in
+conftest as an oracle.
 """
 
 from __future__ import annotations
@@ -11,19 +13,23 @@ import random
 import numpy as np
 import pytest
 
-from greechie.analysis import derive_rules, enumerate_states
+from greechie.analysis import derive_rules, enumerate_states, make_star
 from greechie.gls import load_corpus
-from greechie.model import AbstractLogicError, LogicError, Ray
+from greechie.model import AbstractLogicError, Atom, Logic, LogicError, Ray
 from greechie.quantum import (
     PROB_TOL,
     EntangledPair,
     FalsificationRow,
     JointPrediction,
+    confront,
     context_completeness,
     falsification_report,
     joint_probability,
     unit_vector,
 )
+
+REALIZED = ("gamma1.gls", "gamma3pair.gls", "cabello18.gls", "tight3_4d.gls")
+ORACLE_TOL = 1e-12
 
 
 def closed_form(a: np.ndarray, b: np.ndarray, d: int) -> float:
@@ -258,6 +264,54 @@ class TestFalsificationReport:
         with pytest.raises(AbstractLogicError):
             falsification_report(star, rules, EntangledPair(4))
 
+    def test_rejects_abstract_logic_without_rules(self, cabello18):
+        stripped = Logic(
+            cabello18.dimension,
+            tuple(Atom(a.label) for a in cabello18.atoms),
+            cabello18.contexts,
+        )
+        rules = derive_rules(enumerate_states(stripped), stripped)
+        assert rules.explosion and not rules.one_zero and not rules.equivalences
+        with pytest.raises(AbstractLogicError, match="carries no ray"):
+            falsification_report(stripped, rules, EntangledPair(4))
+
+
+class TestConfront:
+    @pytest.fixture(scope="class")
+    def rules(self, gamma3pair):
+        return derive_rules(enumerate_states(gamma3pair), gamma3pair)
+
+    @pytest.mark.parametrize(
+        "x, y, kind",
+        [
+            ("E", "K", "one-zero"),
+            ("K", "K'", "equivalence"),
+            ("K'", "K", "equivalence"),
+            ("A", "D", "unconstrained"),
+        ],
+    )
+    def test_kind_follows_the_rules(self, rules, x, y, kind):
+        row = confront(rules, x, y, 0.1, 0.3, 0.3)
+        assert (row.kind, row.pair) == (kind, (x, y))
+
+    def test_one_zero_reports_the_joint_probability(self, rules):
+        row = confront(rules, "E", "K", 0.1, 0.3, 0.3)
+        assert (row.classical, row.quantum, row.violated) == (0.0, 0.1, True)
+        assert not confront(rules, "E", "K", 0.0, 0.3, 0.3).violated
+
+    def test_equivalence_reports_the_mismatch(self, rules):
+        row = confront(rules, "K", "K'", 0.25, 0.375, 0.375)
+        assert (row.classical, row.quantum, row.violated) == (0.0, 0.125, True)
+        assert not confront(rules, "K", "K'", 0.375, 0.375, 0.375).violated
+
+    def test_unconstrained_pair_is_never_violated(self, rules):
+        row = confront(rules, "A", "D", 0.3, 0.3, 0.3)
+        assert (row.classical, row.quantum, row.violated) == (None, 0.3, False)
+
+    def test_checks_the_probability_bound(self, rules):
+        with pytest.raises(LogicError, match="outside"):
+            confront(rules, "E", "K", 0.5, 0.3, 0.3)
+
 
 class TestContextCompleteness:
     def test_full_contexts_sum_to_the_marginal(self, corpus):
@@ -289,6 +343,115 @@ class TestContextCompleteness:
             context_completeness(
                 EntangledPair(4), logic, "a", [1.0, 0.0, 0.0, 0.0]
             )
+
+
+def oracle_quantum(kron, pair: EntangledPair, logic: Logic, row: FalsificationRow) -> float:
+    """The figure a report row should carry, from the Kronecker oracle."""
+    x, y = row.pair
+    prediction = kron(pair, logic.ray_of(x), logic.ray_of(y))
+    if row.kind == "equivalence":
+        return prediction.marginal_left - prediction.prob_both
+    return prediction.prob_both
+
+
+def assert_rows_match_oracle(kron, logic: Logic) -> tuple[FalsificationRow, ...]:
+    pair = EntangledPair(logic.dimension)
+    rules = derive_rules(enumerate_states(logic), logic)
+    rows = falsification_report(logic, rules, pair)
+    one_zero = sorted(rules.one_zero)
+    equivalences = sorted(tuple(sorted(e)) for e in rules.equivalences)
+    assert [r.pair for r in rows] == one_zero + equivalences
+    assert [r.kind for r in rows] == (
+        ["one-zero"] * len(one_zero) + ["equivalence"] * len(equivalences)
+    )
+    for row in rows:
+        expected = oracle_quantum(kron, pair, logic, row)
+        assert abs(row.quantum - expected) <= ORACLE_TOL
+        assert row.violated == (expected > PROB_TOL)
+        assert row.classical == 0.0
+    return rows
+
+
+class TestAgainstKronOracle:
+    """The batched contraction against the one-pair Kronecker contraction."""
+
+    @staticmethod
+    def assert_same(got: JointPrediction, expected: JointPrediction) -> None:
+        assert abs(got.prob_both - expected.prob_both) <= ORACLE_TOL
+        assert abs(got.marginal_left - expected.marginal_left) <= ORACLE_TOL
+        assert abs(got.marginal_right - expected.marginal_right) <= ORACLE_TOL
+        assert got.classical_bound == expected.classical_bound
+
+    @pytest.mark.parametrize("name", REALIZED)
+    def test_joint_probability_on_the_corpus(self, corpus, oracle_kron, name):
+        logic = corpus[name]
+        pair = EntangledPair(logic.dimension)
+        for x in logic.labels:
+            for y in logic.labels:
+                a, b = logic.ray_of(x), logic.ray_of(y)
+                self.assert_same(
+                    joint_probability(pair, a, b, "zero"), oracle_kron(pair, a, b, "zero")
+                )
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_joint_probability_on_random_quad_rays(self, oracle_kron, random_quad_ray, d):
+        rng = random.Random(500 + d)
+        pair = EntangledPair(d)
+        for _ in range(200):
+            a, b = random_quad_ray(rng, d), random_quad_ray(rng, d)
+            self.assert_same(joint_probability(pair, a, b), oracle_kron(pair, a, b))
+
+    @pytest.mark.parametrize("name", REALIZED)
+    def test_report_rows_on_the_corpus(self, corpus, oracle_kron, name):
+        assert_rows_match_oracle(oracle_kron, corpus[name])
+
+    def test_report_rows_on_random_quad_rays(self, oracle_kron, random_logic, random_rays):
+        rng = random.Random(3)
+        kinds = {"one-zero": 0, "equivalence": 0}
+        dimensions = set()
+        for _ in range(40):
+            logic = random_rays(random_logic(rng), rng)
+            dimensions.add(logic.dimension)
+            for row in assert_rows_match_oracle(oracle_kron, logic):
+                kinds[row.kind] += 1
+        for d in (3, 4, 5):
+            logic = random_rays(make_star(d), rng)
+            dimensions.add(d)
+            rows = assert_rows_match_oracle(oracle_kron, logic)
+            assert len(rows) == (d + 1) * d * (d - 1)
+        assert dimensions == {3, 4, 5}
+        assert min(kinds.values()) > 0
+
+    @pytest.mark.parametrize("name", REALIZED)
+    def test_context_completeness_on_the_corpus(
+        self, corpus, oracle_kron, random_quad_ray, name
+    ):
+        logic = corpus[name]
+        d = logic.dimension
+        pair = EntangledPair(d)
+        rng = random.Random(name)
+        for ctx in logic.contexts:
+            if len(ctx.members) != d:
+                continue
+            b = random_quad_ray(rng, d)
+            expected = sum(oracle_kron(pair, logic.ray_of(m), b).prob_both for m in ctx.members)
+            assert abs(context_completeness(pair, logic, ctx, b) - expected) <= ORACLE_TOL
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_context_completeness_on_random_quad_rays(
+        self, oracle_kron, random_quad_ray, random_rays, d
+    ):
+        rng = random.Random(700 + d)
+        pair = EntangledPair(d)
+        for _ in range(10):
+            logic = random_rays(make_star(d), rng)
+            b = random_quad_ray(rng, d)
+            for ctx in logic.contexts:
+                expected = sum(
+                    oracle_kron(pair, logic.ray_of(m), b).prob_both for m in ctx.members
+                )
+                got = context_completeness(pair, logic, ctx, b)
+                assert abs(got - expected) <= ORACLE_TOL
 
 
 def test_corpus_fixture_names_match(corpus, gamma1, gamma3pair):
