@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .model import (
     AbstractLogicError,
@@ -135,27 +135,9 @@ def complete_contexts(vectors: Iterable[tuple[str, Ray]], dimension: int) -> Log
             f"ray {isolated[0]!r} is orthogonal to no other ray and can join no context"
         )
 
-    cliques: list[tuple[str, ...]] = []
-
-    def extend(current: list[str], candidates: set[str], excluded: set[str]) -> None:
-        if not candidates and not excluded:
-            if len(current) >= 2:
-                cliques.append(tuple(sorted(current)))
-            return
-        pivot_pool = candidates | excluded
-        pivot = max(pivot_pool, key=lambda u: len(neighbors[u] & candidates))
-        for v in sorted(candidates - neighbors[pivot]):
-            extend(current + [v], candidates & neighbors[v], excluded & neighbors[v])
-            candidates = candidates - {v}
-            excluded = excluded | {v}
-
-    extend([], set(labels), set())
-    cliques.sort()
-
     atoms = tuple(Atom(lbl, rays[lbl]) for lbl in sorted(labels))
-    contexts = tuple(
-        Context(_spreadsheet_label(i), members) for i, members in enumerate(cliques)
-    )
+    cliques = _maximal_cliques(neighbors)
+    contexts = tuple(Context(_spreadsheet_label(i), c) for i, c in enumerate(cliques))
     logic = Logic(dimension, atoms, contexts)
     logic.validate()
     return logic
@@ -252,7 +234,8 @@ def enumerate_states(logic: Logic) -> StateSpaceReport:
     Knuth's Algorithm X does, on the uncovered context with the fewest open
     members: one open member forces it, none ends the branch.  Choosing an
     atom blocks every atom it shares a context with, so no context gets a
-    second true atom and nothing is ever undone.
+    second true atom and nothing is ever undone.  An atom in no context
+    (only in an unvalidated logic) doubles the states: it is free in each.
     """
     labels = logic.labels
     position = {lbl: len(labels) - 1 - i for i, lbl in enumerate(labels)}
@@ -287,6 +270,9 @@ def enumerate_states(logic: Logic) -> StateSpaceReport:
             atom = branch & -branch
             stack.append((chosen | atom, blocked | blocks[atom.bit_length() - 1], rest))
             branch ^= atom
+    for bit, mask in enumerate(blocks):
+        if not mask:
+            codes += [code | 1 << bit for code in codes]
     codes.sort()
     return StateSpaceReport(labels, tuple(codes))
 
@@ -410,11 +396,11 @@ def infer_collapses(logic: Logic) -> CollapseReport:
     share a context.  Whenever two distinct atoms are both orthogonal to a
     common set of d-1 mutually orthogonal atoms they are forced onto the
     same ray and merged; merging can create new forced pairs, so the scan
-    repeats until nothing merges.  Each round grows the (d-1)-cliques inside
-    neighbourhoods, in lexicographic order, so the cost follows the cliques
-    present rather than the C(n, d-1) atom subsets; stars up to the d=26
-    label limit finish.  Sound but deliberately incomplete: a logic may be
-    unrealizable in dimension d without triggering any merge.
+    repeats until nothing merges.  The witnesses are the (d-1)-subsets of
+    the maximal cliques, in lexicographic order, and the atoms orthogonal to
+    all of a witness are the rest of the maximal cliques containing it.
+    Sound but deliberately incomplete: a logic may be unrealizable in
+    dimension d without triggering any merge.
     """
     d = logic.dimension
     parent: dict[str, str] = {a.label: a.label for a in logic.atoms}
@@ -431,9 +417,12 @@ def infer_collapses(logic: Logic) -> CollapseReport:
     merged = True
     while merged:
         merged = False
-        adjacency = orthogonality_adjacency(logic, find)
-        for witness in _cliques(adjacency, d - 1):
-            commons = sorted(set.intersection(*(adjacency[w] for w in witness)))
+        extensions: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+        for clique in _maximal_cliques(orthogonality_adjacency(logic, find)):
+            for witness in itertools.combinations(clique, d - 1):
+                extensions.setdefault(witness, []).append(clique)
+        for witness in sorted(extensions):
+            commons = sorted(set().union(*extensions[witness]).difference(witness))
             for x, y in itertools.combinations(commons, 2):
                 rx, ry = find(x), find(y)
                 if rx == ry:
@@ -448,19 +437,29 @@ def infer_collapses(logic: Logic) -> CollapseReport:
     return CollapseReport(dimension=d, forced_identifications=tuple(found))
 
 
-def _cliques(adjacency: Mapping[str, set[str]], size: int) -> Iterator[tuple[str, ...]]:
-    """The cliques of ``size`` nodes as sorted tuples, in lexicographic order.  A clique grows
-    only through the later neighbours of all its members, while enough remain to reach ``size``."""
-    for v in sorted(adjacency):
-        stack = [((v,), sorted(u for u in adjacency[v] if u > v))]
-        while stack:
-            clique, candidates = stack.pop()
-            if len(clique) == size:
-                yield clique
-                continue
-            for i in reversed(range(len(candidates) - (size - len(clique)) + 1)):
-                u = candidates[i]
-                stack.append((clique + (u,), [w for w in candidates[i + 1 :] if w in adjacency[u]]))
+def _maximal_cliques(adjacency: Mapping[str, set[str]]) -> list[tuple[str, ...]]:
+    """Every maximal clique of the graph as a sorted tuple, in sorted order.
+
+    Bron and Kerbosch's search (CACM Algorithm 457) on an explicit stack, so
+    large cliques meet no recursion limit.  A node branches on its candidates
+    outside the neighbourhood of its pivot: the node of candidates | excluded
+    with the most neighbours.
+    """
+    degree = {v: len(ns) for v, ns in adjacency.items()}
+    cliques: list[tuple[str, ...]] = []
+    stack: list[tuple[tuple[str, ...], set[str], set[str]]] = [((), set(adjacency), set())]
+    while stack:
+        clique, candidates, excluded = stack.pop()
+        if not candidates:
+            if not excluded:
+                cliques.append(tuple(sorted(clique)))
+            continue
+        pivot = max(candidates | excluded, key=degree.get)
+        for v in candidates - adjacency[pivot]:
+            stack.append((clique + (v,), candidates & adjacency[v], excluded & adjacency[v]))
+            candidates.remove(v)
+            excluded.add(v)
+    return sorted(cliques)
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Any, Callable, Sequence
 
 from . import analysis, diagrams, gls
 from . import quantum as qm
-from .model import Logic, LogicError, format_quad, inner_product
+from .model import Logic, LogicError, format_quad, inner_product, quote_token
 
 
 def _fmt(value: float) -> str:
@@ -190,7 +190,7 @@ def _report_quantum(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[
         x, y = args.pair
         for label in (x, y):
             if label not in logic.atom_map:
-                raise LogicError(f"no atom labeled {label!r}")
+                raise LogicError(f"no atom labeled {quote_token(label)}")
         prediction = qm.joint_probability(pair, logic.ray_of(x), logic.ray_of(y))
         probs = {
             "prob_both": prediction.prob_both,
@@ -231,7 +231,7 @@ def _pair_argument(text: str) -> tuple[str, str]:
     parts = text.split(",")
     if len(parts) != 2 or not all(parts):
         raise argparse.ArgumentTypeError(
-            f"expected two comma-separated atom labels, got {text!r}"
+            f"expected two comma-separated atom labels, got {quote_token(text)}"
         )
     return parts[0], parts[1]
 

@@ -38,7 +38,7 @@ class AbstractLogicError(LogicError):
 
     def __init__(self, atom: str, message: str | None = None) -> None:
         self.atom = atom
-        super().__init__(message or f"atom {atom!r} carries no ray (abstract logic)")
+        super().__init__(message or f"atom {quote_token(atom)} carries no ray (abstract logic)")
 
 
 @dataclass(frozen=True)
@@ -377,7 +377,7 @@ class Logic:
         try:
             return self.atom_map[label]
         except KeyError:
-            raise LogicError(f"unknown atom {label!r}") from None
+            raise LogicError(f"unknown atom {quote_token(label)}") from None
 
     def ray_of(self, label: str) -> Ray:
         ray = self.atom(label).ray

@@ -2,11 +2,11 @@
 
 The oracle enumerators here deliberately share no code or strategy with the
 package: one scans all 2^n assignments, the other recurses over per-context
-choices without any propagation.  The collapse and dual oracles keep the
-direct definitions the package replaced with faster searches: every
-(d-1)-subset of atoms, and every pair of contexts.  The quantum oracle keeps
-the one-pair Kronecker-product contraction the batched einsum replaced.
-Tests compare the package against them.
+choices without any propagation.  The collapse, clique and dual oracles keep
+the direct definitions the package replaced with faster searches: every
+(d-1)-subset of atoms, every node subset, and every pair of contexts.  The
+quantum oracle keeps the one-pair Kronecker-product contraction the batched
+einsum replaced.  Tests compare the package against them.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -171,6 +171,25 @@ def collapse_scan(logic: Logic) -> CollapseReport:
 
     found.sort(key=lambda ident: ident.pair)
     return CollapseReport(dimension=d, forced_identifications=tuple(found))
+
+
+def maximal_cliques_scan(adjacency: Mapping[str, set[str]]) -> list[tuple[str, ...]]:
+    """Every node subset that is a clique and that no other node extends,
+    found by trying all 2^n subsets; at most 9 nodes."""
+    nodes = sorted(adjacency)
+    if len(nodes) > 9:
+        raise ValueError("the subset scan takes at most 9 nodes")
+
+    def joined(group: tuple[str, ...]) -> bool:
+        return all(y in adjacency[x] for x, y in itertools.combinations(group, 2))
+
+    cliques = [
+        group
+        for k in range(len(nodes) + 1)
+        for group in itertools.combinations(nodes, k)
+        if joined(group)
+    ]
+    return sorted(c for c in cliques if not any(joined(c + (z,)) for z in nodes if z not in c))
 
 
 def pairwise_dual(logic: Logic) -> DualGraph:
@@ -356,6 +375,20 @@ def build_random_overlapping_contexts(rng: random.Random) -> Logic:
     return Logic(5, tuple(Atom(lbl) for lbl in labels), contexts)
 
 
+def build_random_graph(rng: random.Random) -> dict[str, set[str]]:
+    """A symmetric adjacency on 0..9 nodes with a drawn edge density: at
+    density 0 it is edgeless, at 1 complete, and in between nodes are often
+    isolated."""
+    nodes = [f"v{i}" for i in range(rng.randint(0, 9))]
+    density = rng.choice([0.0, 0.2, 0.5, 0.8, 1.0])
+    adjacency: dict[str, set[str]] = {v: set() for v in nodes}
+    for x, y in itertools.combinations(nodes, 2):
+        if rng.random() < density:
+            adjacency[x].add(y)
+            adjacency[y].add(x)
+    return adjacency
+
+
 def build_random_quad_ray(rng: random.Random, d: int) -> Ray:
     """A nonzero ray whose components a + b*sqrt(2) have small integer or
     half-integer a and b."""
@@ -415,6 +448,11 @@ def oracle_dual():
 
 
 @pytest.fixture(scope="session")
+def oracle_maximal_cliques():
+    return maximal_cliques_scan
+
+
+@pytest.fixture(scope="session")
 def random_logic():
     return build_random_logic
 
@@ -427,6 +465,11 @@ def random_collapse_logic():
 @pytest.fixture(scope="session")
 def random_overlapping_contexts():
     return build_random_overlapping_contexts
+
+
+@pytest.fixture(scope="session")
+def random_graph():
+    return build_random_graph
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from greechie.analysis import (
+    _maximal_cliques,
     complete_contexts,
     derive_rules,
     enumerate_states,
@@ -326,16 +327,14 @@ class TestEnumerateStates:
         self, oracle_bitmask, random_overlapping_contexts
     ):
         rng = random.Random(5)
-        checked = 0
+        free = 0
         for _ in range(300):
             logic = random_overlapping_contexts(rng)
-            # The scan leaves an atom in no context free; the search does not.
-            if {m for c in logic.contexts for m in c.members} != set(logic.labels):
-                continue
             got = [s.bits for s in enumerate_states(logic).states]
             assert got == oracle_bitmask(logic)
-            checked += 1
-        assert checked >= 100
+            # An atom in no context is free in every state.
+            free += {m for c in logic.contexts for m in c.members} != set(logic.labels)
+        assert free >= 100
 
     def test_derived_flags_agree_with_oracle_states(
         self, oracle_bitmask, random_logic, random_parity_logic
@@ -633,6 +632,21 @@ class TestCollapseOracle:
     def test_first_round_finds_tight3(self, corpus):
         logic = corpus["tight3.gls"]
         assert not found_after_first_round(logic, infer_collapses(logic))
+
+
+class TestMaximalCliques:
+    def test_agrees_with_subset_scan(self, oracle_maximal_cliques, random_graph):
+        rng = random.Random(19)
+        edgeless = complete = isolated = 0
+        for _ in range(400):
+            adjacency = random_graph(rng)
+            assert _maximal_cliques(adjacency) == oracle_maximal_cliques(adjacency)
+            n = len(adjacency)
+            degrees = [len(ys) for ys in adjacency.values()]
+            edgeless += n > 1 and not any(degrees)
+            complete += n > 1 and all(k == n - 1 for k in degrees)
+            isolated += any(degrees) and not all(degrees)
+        assert min(edgeless, complete, isolated) >= 20
 
 
 class TestMakeStar:

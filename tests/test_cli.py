@@ -17,6 +17,10 @@ from greechie.gls import corpus_path, load_corpus, serialize_logic
 from greechie.model import Atom, Logic
 
 
+LONG_LABEL = "A" * 5000
+SHOWN_LABEL = "'AAAAAAAAAAAAAAAAAAAA'... (5000 characters)"
+
+
 def path_of(name: str) -> str:
     return str(corpus_path(name))
 
@@ -306,6 +310,31 @@ class TestExitCodes:
         assert code == 2
         assert "no atom labeled" in err
 
+    def test_long_abstract_atom_label_is_shortened(self, capsys, tmp_path):
+        path = tmp_path / "long.gls"
+        path.write_text(
+            f"dim 3\natom {LONG_LABEL}\natom B\natom C\ncontext a {LONG_LABEL} B C\n",
+            encoding="utf-8",
+        )
+        code, _, err = run_cli(capsys, "check", str(path))
+        assert code == 2
+        assert f"atom {SHOWN_LABEL} carries no ray" in err
+        assert max(map(len, err.splitlines())) < 200
+
+    def test_long_unknown_pair_label_is_shortened(self, capsys):
+        code, _, err = run_cli(
+            capsys, "quantum", "--pair", f"{LONG_LABEL},E", path_of("gamma1.gls")
+        )
+        assert code == 2
+        assert f"no atom labeled {SHOWN_LABEL}" in err
+        assert max(map(len, err.splitlines())) < 200
+
+    def test_long_malformed_pair_is_shortened(self, capsys):
+        code, _, err = run_cli(capsys, "quantum", "--pair", LONG_LABEL, path_of("gamma1.gls"))
+        assert code == 2
+        assert f"atom labels, got {SHOWN_LABEL}" in err
+        assert max(map(len, err.splitlines())) < 200
+
     def test_star_bad_dimension(self, capsys):
         code, _, err = run_cli(capsys, "star", "2")
         assert code == 2
@@ -547,6 +576,24 @@ class TestDeepInputs:
         path.write_text(serialize_logic(make_star(26)), encoding="utf-8")
         code, out, err = run_cli(capsys, "collapse", str(path))
         assert (code, out, err) == (0, "no forced identifications\n", "")
+
+    def test_collapse_on_one_large_context(self, capsys, tmp_path):
+        atoms = [f"x{i}" for i in range(1200)]
+        lines = ["dim 1200"] + [f"atom {a}" for a in atoms] + [f"context a {' '.join(atoms)}"]
+        path = tmp_path / "one.gls"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "collapse", str(path))
+        assert (code, out, err) == (0, "no forced identifications\n", "")
+
+    def test_collapse_on_two_large_contexts(self, capsys, tmp_path):
+        shared = [f"x{i}" for i in range(1199)]
+        lines = ["dim 1200"] + [f"atom {a}" for a in shared + ["y", "z"]]
+        lines += [f"context a {' '.join(shared)} y", f"context b {' '.join(shared)} z"]
+        path = tmp_path / "two.gls"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "collapse", str(path))
+        assert (code, err) == (0, "")
+        assert out == f"identify y = z (witness: {', '.join(sorted(shared))})\n"
 
     @pytest.mark.parametrize(
         "argv, expected",

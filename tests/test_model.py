@@ -400,6 +400,11 @@ class TestLogic:
             logic.ray_of("A")
         assert not logic.is_realized
 
+    def test_unknown_atom_label_is_shortened(self):
+        with pytest.raises(LogicError) as err:
+            tiny_logic().atom("Z" * 5000)
+        assert str(err.value) == "unknown atom 'ZZZZZZZZZZZZZZZZZZZZ'... (5000 characters)"
+
     def test_orthogonality_edges(self):
         logic = tiny_logic()
         assert orthogonality_edges(logic) == frozenset(
