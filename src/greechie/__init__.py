@@ -5,121 +5,52 @@ hypergraphs), verifies vector realizations exactly over the field Q(sqrt(2)),
 enumerates noncontextual two-valued states, derives the classical implication
 rules those states obey, and computes the quantum joint probabilities that
 break them.
+
+Importing the package loads none of its modules: each public name below is
+imported from its module on first use (PEP 562), so only the quantum names
+load numpy.
 """
 
 from __future__ import annotations
 
-from .analysis import (
-    CollapseReport,
-    ContextCheck,
-    Identification,
-    ParityCertificate,
-    RealizationReport,
-    RuleSet,
-    StateSpaceReport,
-    TwoValuedState,
-    complete_contexts,
-    derive_rules,
-    enumerate_states,
-    infer_collapses,
-    make_star,
-    parity_obstruction,
-    verify_realization,
-)
-from .diagrams import DOT_MODES, DualEdge, DualGraph, emit_dot, tkadlec_dual
-from .gls import (
-    CORPUS_FILES,
-    GlsParseError,
-    corpus_path,
-    load_corpus,
-    load_logic,
-    parse_logic,
-    serialize_logic,
-)
-from .model import (
-    ONE,
-    ROOT2,
-    ZERO,
-    AbstractLogicError,
-    Atom,
-    Context,
-    Logic,
-    LogicError,
-    Quad,
-    Ray,
-    format_quad,
-    inner_product,
-    make_logic,
-    orthogonality_edges,
-    parse_quad,
-    rays_collinear,
-)
-from .quantum import (
-    PROB_TOL,
-    EntangledPair,
-    FalsificationRow,
-    JointPrediction,
-    confront,
-    context_completeness,
-    falsification_report,
-    joint_probability,
-    unit_vector,
-)
+from importlib import import_module
+
+# module -> the public names it provides; each name is declared here only
+_EXPORTS = {
+    "analysis": """
+        CollapseReport ContextCheck Identification ParityCertificate RealizationReport
+        RuleSet StateSpaceReport TwoValuedState complete_contexts derive_rules
+        enumerate_states infer_collapses make_star parity_obstruction verify_realization
+    """,
+    "diagrams": "DOT_MODES DualEdge DualGraph emit_dot tkadlec_dual",
+    "gls": """
+        CORPUS_FILES GlsParseError corpus_path load_corpus load_logic parse_logic
+        serialize_logic
+    """,
+    "model": """
+        ONE ROOT2 ZERO AbstractLogicError Atom Context Logic LogicError Quad Ray
+        format_quad inner_product make_logic orthogonality_edges parse_quad rays_collinear
+    """,
+    "quantum": """
+        PROB_TOL EntangledPair FalsificationRow JointPrediction confront
+        context_completeness falsification_report joint_probability unit_vector
+    """,
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbstractLogicError",
-    "Atom",
-    "CORPUS_FILES",
-    "CollapseReport",
-    "Context",
-    "ContextCheck",
-    "DOT_MODES",
-    "DualEdge",
-    "DualGraph",
-    "EntangledPair",
-    "FalsificationRow",
-    "GlsParseError",
-    "Identification",
-    "JointPrediction",
-    "Logic",
-    "LogicError",
-    "ONE",
-    "PROB_TOL",
-    "ParityCertificate",
-    "Quad",
-    "ROOT2",
-    "Ray",
-    "RealizationReport",
-    "RuleSet",
-    "StateSpaceReport",
-    "TwoValuedState",
-    "ZERO",
-    "complete_contexts",
-    "confront",
-    "context_completeness",
-    "corpus_path",
-    "derive_rules",
-    "emit_dot",
-    "enumerate_states",
-    "falsification_report",
-    "format_quad",
-    "infer_collapses",
-    "inner_product",
-    "joint_probability",
-    "load_corpus",
-    "load_logic",
-    "make_logic",
-    "make_star",
-    "orthogonality_edges",
-    "parity_obstruction",
-    "parse_logic",
-    "parse_quad",
-    "rays_collinear",
-    "serialize_logic",
-    "tkadlec_dual",
-    "unit_vector",
-    "verify_realization",
-    "__version__",
-]
+__all__ = [*sorted(_ORIGIN), "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

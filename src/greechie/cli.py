@@ -16,10 +16,9 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from . import analysis, diagrams, gls
-from . import quantum as qm
 from .model import Logic, LogicError, format_quad, inner_product, quote_token
 
 
@@ -70,6 +69,8 @@ def _report_check(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[st
 
 def _report_states(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[str], bool]:
     report = analysis.enumerate_states(logic)
+    if args.count_only and not args.json:
+        return {}, [str(report.count)], report.empty
     doc: dict[str, Any] = {
         "count": report.count,
         "empty": report.empty,
@@ -77,13 +78,10 @@ def _report_states(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[s
         "separating": report.separating,
         "labels": list(logic.labels),
     }
-    if args.count_only:
-        lines = [str(report.count)]
-    else:
-        lines = [
-            f"count={report.count} empty={report.empty} "
-            f"unital={report.unital} separating={report.separating}"
-        ]
+    lines = [
+        f"count={report.count} empty={report.empty} "
+        f"unital={report.unital} separating={report.separating}"
+    ]
     if args.list:
         doc["states"] = list(report.bit_strings)
         lines.append("atoms: " + " ".join(logic.labels))
@@ -179,6 +177,8 @@ def _report_dual(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[str
 
 
 def _report_quantum(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[str], bool]:
+    from . import quantum as qm  # the only subcommand that needs numpy
+
     pair = qm.EntangledPair(logic.dimension)
     rules = analysis.derive_rules(analysis.enumerate_states(logic), logic)
 
@@ -212,17 +212,6 @@ def _report_quantum(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[
     return {"rows": [asdict(r) for r in rows]}, lines, violated_count > 0
 
 
-_HANDLERS: dict[str, Callable[[Logic, argparse.Namespace], tuple[dict, list[str], bool]]] = {
-    "check": _report_check,
-    "states": _report_states,
-    "rules": _report_rules,
-    "parity": _report_parity,
-    "collapse": _report_collapse,
-    "dual": _report_dual,
-    "quantum": _report_quantum,
-}
-
-
 # --------------------------------------------------------------------------
 # argument parsing
 # --------------------------------------------------------------------------
@@ -243,8 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_files_command(name: str, help_text: str, strict: bool = True):
+    def add_files_command(name: str, help_text: str, report, strict: bool = True):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=_run_file_command, report=report)
         p.add_argument("files", nargs="+", metavar="FILE", help=".gls input file")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
@@ -256,17 +246,20 @@ def build_parser() -> argparse.ArgumentParser:
             )
         return p
 
-    add_files_command("check", "verify exact orthogonality of a ray assignment")
-    p_states = add_files_command("states", "enumerate all two-valued states")
+    add_files_command("check", "verify exact orthogonality of a ray assignment", _report_check)
+    p_states = add_files_command("states", "enumerate all two-valued states", _report_states)
     group = p_states.add_mutually_exclusive_group()
     group.add_argument("--count-only", action="store_true", help="print only the state count")
     group.add_argument("--list", action="store_true", help="list states as bit strings")
-    add_files_command("rules", "derive one-zero and one-one/zero-zero rules")
-    add_files_command("parity", "look for a parity proof of state-space emptiness")
-    add_files_command("collapse", "infer ray identifications forced by the dimension")
-    add_files_command("dual", "print the context dual graph", strict=False)
+    add_files_command("rules", "derive one-zero and one-one/zero-zero rules", _report_rules)
+    add_files_command("parity", "look for a parity proof of state-space emptiness", _report_parity)
+    add_files_command(
+        "collapse", "infer ray identifications forced by the dimension", _report_collapse
+    )
+    add_files_command("dual", "print the context dual graph", _report_dual, strict=False)
 
     p_dot = sub.add_parser("dot", help="emit the logic as DOT graph text")
+    p_dot.set_defaults(run=_run_dot)
     p_dot.add_argument("files", nargs="+", metavar="FILE", help=".gls input file")
     p_dot.add_argument(
         "--mode",
@@ -276,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dot.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
-    p_quantum = add_files_command("quantum", "confront derived rules with entangled-state predictions")
+    p_quantum = add_files_command(
+        "quantum", "confront derived rules with entangled-state predictions", _report_quantum
+    )
     p_quantum.add_argument(
         "--pair",
         type=_pair_argument,
@@ -285,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_star = sub.add_parser("star", help="generate the d-star logic as .gls text")
+    p_star.set_defaults(run=_run_star)
     p_star.add_argument("dimension", type=int, metavar="N", help="dimension (>= 3)")
     p_star.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
@@ -319,13 +315,12 @@ def _load(name: str) -> Logic:
 
 
 def _run_file_command(args: argparse.Namespace) -> int:
-    handler = _HANDLERS[args.command]
     reports: list[dict] = []
     blocks: list[str] = []
     negatives = 0
     for name in args.files:
         try:
-            doc, lines, negative = handler(_load(name), args)
+            doc, lines, negative = args.report(_load(name), args)
         except LogicError as exc:
             raise _Refusal(f"{name}: {exc}") from None
         doc = {"file": name, **doc}
@@ -377,9 +372,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    run = {"dot": _run_dot, "star": _run_star}.get(args.command, _run_file_command)
     try:
-        return run(args)
+        return args.run(args)
     except _Refusal as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -161,7 +161,7 @@ def serialize_logic(logic: Logic) -> str:
 
 
 def load_logic(path: str | Path) -> Logic:
-    return parse_logic(Path(path).read_text(encoding="utf-8"))
+    return parse_logic(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def corpus_path(name: str) -> Path:

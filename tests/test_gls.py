@@ -10,6 +10,7 @@ from greechie.gls import (
     GlsParseError,
     corpus_path,
     load_corpus,
+    load_logic,
     parse_logic,
     serialize_logic,
 )
@@ -357,3 +358,28 @@ class TestCorpusAccess:
             "tight3.gls": (6, 3, 3),
             "tight3_4d.gls": (6, 3, 4),
         }
+
+
+class TestByteOrderMark:
+    """Files saved by editors that prepend a UTF-8 byte-order mark."""
+
+    @pytest.mark.parametrize("name", CORPUS_FILES)
+    def test_bom_file_parses_like_the_original(self, tmp_path, name):
+        original = corpus_path(name).read_bytes()
+        canonical = serialize_logic(load_corpus(name)).encode("utf-8")
+        for index, data in enumerate((original, canonical)):
+            path = tmp_path / f"{index}-{name}"
+            path.write_bytes(b"\xef\xbb\xbf" + data)
+            assert load_logic(path) == load_corpus(name)
+
+    @pytest.mark.parametrize("text", ["dim three\n", "vertex A\n", "dim 3\natom A 1 r3 0\n"])
+    def test_fault_position_ignores_bom(self, tmp_path, text):
+        faults = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            path = tmp_path / "fault.gls"
+            path.write_bytes(prefix + text.encode("utf-8"))
+            with pytest.raises(GlsParseError) as err:
+                load_logic(path)
+            faults.append((err.value.line, err.value.column, err.value.message))
+        assert faults[0] == faults[1]
+        assert "\ufeff" not in faults[1][2]
