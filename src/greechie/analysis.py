@@ -26,10 +26,10 @@ from .model import (
     Ray,
     _spreadsheet_label,
     collinear_classes,
-    inner_product,
+    orthogonal,
     orthogonality_adjacency,
 )
-from .model import rays_collinear  # noqa: F401  (bench/spans.py traces it under this name)
+from .model import inner_product, rays_collinear  # noqa: F401  (bench/spans.py traces them by name)
 
 
 # --------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def verify_realization(logic: Logic) -> RealizationReport:
     for ctx in logic.contexts:
         failing: tuple[str, str] | None = None
         for x, y in itertools.combinations(ctx.members, 2):
-            if not inner_product(logic.ray_of(x), logic.ray_of(y)).is_zero:
+            if not orthogonal(logic.ray_of(x), logic.ray_of(y)):
                 failing = (x, y)
                 break
         checks.append(
@@ -125,7 +125,7 @@ def complete_contexts(vectors: Iterable[tuple[str, Ray]], dimension: int) -> Log
 
     neighbors: dict[str, set[str]] = {lbl: set() for lbl in labels}
     for x, y in itertools.combinations(labels, 2):
-        if inner_product(rays[x], rays[y]).is_zero:
+        if orthogonal(rays[x], rays[y]):
             neighbors[x].add(y)
             neighbors[y].add(x)
 

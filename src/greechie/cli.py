@@ -44,12 +44,8 @@ def _report_check(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[st
         }
         if check.failing_pair:
             x, y = check.failing_pair
-            entry["inner"] = format_quad(
-                inner_product(logic.ray_of(x), logic.ray_of(y))
-            )
-            lines.append(
-                f"  context {check.label}: FAIL <{x},{y}> inner {entry['inner']}"
-            )
+            entry["inner"] = format_quad(inner_product(logic.ray_of(x), logic.ray_of(y)))
+            lines.append(f"  context {check.label}: FAIL <{x},{y}> inner {entry['inner']}")
         else:
             note = " (non-maximal)" if check.non_maximal else ""
             lines.append(f"  context {check.label}: ok{note}")

@@ -5,6 +5,8 @@ whose points (atoms) may carry one-dimensional subspaces (rays) of a real
 Hilbert space of the declared dimension.  Every inner product and collinearity
 test is computed exactly in Q(sqrt(2)); no ray in the supported corpus needs a
 larger field, and tokens outside it are rejected outright.
+``Quad`` is the exact value parsed, formatted and printed; ray tests run on ints
+(``Ray.ints``, ``Ray.key``, ``orthogonal``), since scaling keeps both relations.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 SQRT2 = math.sqrt(2.0)
@@ -143,12 +145,13 @@ def quote_token(token: str) -> str:
     return repr(token) if len(token) <= 20 else f"{token[:20]!r}... ({len(token)} characters)"
 
 
+@lru_cache(maxsize=4096)
 def parse_quad(token: str) -> Quad:
     """Parse a component token: one or two signed terms, each a rational or a
     rational times sqrt(2) (suffix "r2"; bare "r2" means 1*sqrt(2)).
 
     Raises ValueError for anything outside Q(sqrt(2)); other irrationals are
-    deliberately unsupported.
+    deliberately unsupported.  Results are memoized; errors are not.
     """
     shown = quote_token(token)
     pos = 0
@@ -210,27 +213,48 @@ class Ray:
         return len(self.components)
 
     def floats(self) -> list[float]:
-        return [float(c) for c in self.components]
+        """The components as floats.  Far from 1 they are first scaled by one
+        power of two, which is exact, so that none overflows or vanishes."""
+        shift = max(f.numerator.bit_length() - f.denominator.bit_length()
+                    for c in self.components for f in (c.rat, c.coef2) if f)
+        if abs(shift) <= 256:
+            return [float(c) for c in self.components]
+        return [float(c * Quad(Fraction(2) ** -shift)) for c in self.components]
 
     def __str__(self) -> str:
         return "(" + ", ".join(format_quad(c) for c in self.components) + ")"
 
     @cached_property
-    def key(self) -> tuple[Quad, ...]:
-        """Canonical projective form: the components divided by the first
-        nonzero one.  Two rays are collinear exactly when their keys are equal."""
-        lead = next(c for c in self.components if not c.is_zero)
-        return tuple(c / lead for c in self.components)
+    def ints(self) -> tuple[tuple[int, int], ...]:
+        """The components times their denominators' lcm, as ints (a, b): a + b*sqrt(2)."""
+        scale = math.lcm(*(f.denominator for c in self.components for f in (c.rat, c.coef2)))
+        return tuple((c.rat.numerator * scale // c.rat.denominator,
+                      c.coef2.numerator * scale // c.coef2.denominator) for c in self.components)
+
+    @cached_property
+    def key(self) -> tuple[int, ...]:
+        """Canonical projective form, 2d ints (a1, b1, ..., ad, bd): ``ints`` times the
+        conjugate p - q*sqrt(2) of its lead p + q*sqrt(2), which makes the lead rational,
+        over the gcd, lead positive.  Collinear rays, and only they, have equal keys."""
+        p, q = next(c for c in self.ints if c != (0, 0))
+        flat = [x for a, b in self.ints for x in (a * p - 2 * b * q, b * p - a * q)]
+        g = math.gcd(*flat) if next(x for x in flat if x) > 0 else -math.gcd(*flat)
+        return tuple(x // g for x in flat)
 
 
 def inner_product(r: Ray, s: Ray) -> Quad:
     """Exact Euclidean inner product; the rays are real, so no conjugation."""
     if len(r) != len(s):
         raise LogicError(f"ray length mismatch: {len(r)} vs {len(s)}")
-    total = ZERO
-    for a, b in zip(r.components, s.components):
-        total = total + a * b
-    return total
+    return sum((a * b for a, b in zip(r.components, s.components)), ZERO)
+
+
+def orthogonal(r: Ray, s: Ray) -> bool:
+    """Exact orthogonality: the inner product of the integer forms is zero."""
+    if len(r) != len(s):
+        raise LogicError(f"ray length mismatch: {len(r)} vs {len(s)}")
+    rat = sum(a * c + 2 * b * d for (a, b), (c, d) in zip(r.ints, s.ints))
+    return rat == 0 and sum(a * d + b * c for (a, b), (c, d) in zip(r.ints, s.ints)) == 0
 
 
 def rays_collinear(r: Ray, s: Ray) -> bool:
@@ -242,7 +266,7 @@ def rays_collinear(r: Ray, s: Ray) -> bool:
 
 def collinear_classes(labeled: Iterable[tuple[str, Ray]]) -> list[list[str]]:
     """Groups of two or more labels with one ray, in input order."""
-    by_key: dict[tuple[Quad, ...], list[str]] = {}
+    by_key: dict[tuple[int, ...], list[str]] = {}
     for label, ray in labeled:
         by_key.setdefault(ray.key, []).append(label)
     return [group for group in by_key.values() if len(group) > 1]
@@ -280,7 +304,7 @@ class LogicChecker:
             raise LogicError(f"dimension must be >= 3, got {dimension}", token=0)
         self.dimension = dimension
         self._used: dict[str, bool] = {}  # atom label -> occurs in a context
-        self._rays: dict[tuple[Quad, ...], str] = {}  # Ray.key -> atom label
+        self._rays: dict[tuple[int, ...], str] = {}  # Ray.key -> atom label
         self._contexts: set[str] = set()
         self._member_sets: dict[frozenset[str], str] = {}
 

@@ -6,7 +6,8 @@ choices without any propagation.  The collapse, clique and dual oracles keep
 the direct definitions the package replaced with faster searches: every
 (d-1)-subset of atoms, every node subset, and every pair of contexts.  The
 quantum oracle keeps the one-pair Kronecker-product contraction the batched
-einsum replaced.  Tests compare the package against them.
+einsum replaced, and the ray-key oracle keeps the Quad-division key that the
+integer key replaced.  Tests compare the package against them.
 """
 
 from __future__ import annotations
@@ -389,6 +390,35 @@ def build_random_graph(rng: random.Random) -> dict[str, set[str]]:
     return adjacency
 
 
+# --------------------------------------------------------------------------
+# independent ray-key oracle
+# --------------------------------------------------------------------------
+
+def quad_key(ray: Ray) -> tuple[Quad, ...]:
+    """The former canonical key over Quads: the components divided by the
+    first nonzero one.  Two rays are collinear exactly when these are equal."""
+    lead = next(c for c in ray.components if not c.is_zero)
+    return tuple(c / lead for c in ray.components)
+
+
+def build_random_fractional_ray(rng: random.Random, d: int) -> Ray:
+    """A nonzero ray with leading zeros, fractional components and, now and
+    then, denominators with dozens of digits."""
+    def part() -> Fraction:
+        if rng.random() < 0.4:
+            return Fraction(0)
+        den = rng.choice([1, 2, 3, 6, 7, 10**rng.randint(12, 40) + rng.randint(1, 99)])
+        return Fraction(rng.randint(-9, 9), den)
+
+    lead = rng.randrange(d)
+    while True:
+        components = tuple(
+            Quad() if i < lead else Quad(part(), part()) for i in range(d)
+        )
+        if any(not c.is_zero for c in components):
+            return Ray(components)
+
+
 def build_random_quad_ray(rng: random.Random, d: int) -> Ray:
     """A nonzero ray whose components a + b*sqrt(2) have small integer or
     half-integer a and b."""
@@ -450,6 +480,16 @@ def oracle_dual():
 @pytest.fixture(scope="session")
 def oracle_maximal_cliques():
     return maximal_cliques_scan
+
+
+@pytest.fixture(scope="session")
+def oracle_quad_key():
+    return quad_key
+
+
+@pytest.fixture(scope="session")
+def random_fractional_ray():
+    return build_random_fractional_ray
 
 
 @pytest.fixture(scope="session")

@@ -625,6 +625,51 @@ class TestDeepInputs:
         assert states == sorted([evens, odds])
 
 
+class TestExactRays:
+    """Printed values stay exact Q(sqrt 2) numbers, whatever the ray layer
+    computes internally, and float conversion survives any component size."""
+
+    FRACTIONAL = "dim 3\natom A 1/2 1/2r2 0\natom B 1/3r2 1/5 1\natom C 0 0 1\ncontext a A B C\n"
+    BASIS = (
+        "dim 3\natom A {} 0 0\natom B 0 1 0\natom C 0 0 1\natom D 0 1 1\natom E 0 1 -1\n"
+        "context a A B C\ncontext b A D E\n"
+    )
+
+    def test_check_prints_the_unscaled_inner_product(self, capsys, schema, tmp_path):
+        path = tmp_path / "fractional.gls"
+        path.write_text(self.FRACTIONAL, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "check", str(path))
+        assert code == 0
+        # (1/2)(1/3 r2) + (1/2 r2)(1/5) = 4/15 r2, not the value of any scaled copy.
+        assert out.splitlines()[1] == "  context a: FAIL <A,B> inner 4/15r2"
+        _, out, _ = run_cli(capsys, "check", "--json", str(path))
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema)
+        assert payload["reports"][0]["contexts"][0]["inner"] == "4/15r2"
+
+    @pytest.mark.parametrize(
+        "lead", ["1" + "0" * 400, "1/1" + "0" * 400, "-7" + "0" * 200], ids=["huge", "tiny", "large"]
+    )
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    def test_quantum_on_huge_and_tiny_components(self, capsys, tmp_path, monkeypatch, lead, mode):
+        outputs = []
+        for name, value in (("unit", "1"), ("scaled", lead)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "ray.gls").write_text(self.BASIS.format(value), encoding="utf-8")
+            monkeypatch.chdir(tmp_path / name)
+            outputs.append(run_cli(capsys, "quantum", *mode, "ray.gls"))
+        assert outputs[0][0] == 0 and outputs[0][2] == ""
+        assert outputs[1] == outputs[0]
+
+    def test_quantum_on_a_scaled_corpus_ray(self, capsys, tmp_path):
+        # gamma1 with M = (0, 1, 0) scaled far beyond the float range.
+        text = corpus_path("gamma1.gls").read_text(encoding="utf-8")
+        path = tmp_path / "gamma1.gls"
+        path.write_text(text.replace("atom M 0 1 0", f"atom M 0 -3{'0' * 500} 0"), encoding="utf-8")
+        expected = run_cli(capsys, "quantum", path_of("gamma1.gls"))
+        assert run_cli(capsys, "quantum", str(path)) == expected
+
+
 class TestInstalledEntryPoint:
     def test_help_runs(self):
         result = subprocess.run(

@@ -162,6 +162,17 @@ class TestParseErrors:
         assert (err.value.line, err.value.column) == (6, 9)
         assert err.value.message == message
 
+    def test_bad_component_error_is_not_cached(self):
+        text = "dim 3\natom A 1 0 0\natom B 0 1 r3\n"
+        seen = set()
+        for _ in range(3):
+            with pytest.raises(GlsParseError) as err:
+                parse_logic(text)
+            seen.add((err.value.line, err.value.column, err.value.message))
+            with pytest.raises(ValueError, match="only Q"):
+                parse_quad("r3")
+        assert seen == {(3, 12, "invalid component token 'r3' (only Q(√2) values are supported)")}
+
     def test_dim_too_small(self):
         self.expect_error("dim 2\n", 1, 5, ">= 3")
 

@@ -21,6 +21,7 @@ from greechie.model import (
     format_quad,
     inner_product,
     make_logic,
+    orthogonal,
     orthogonality_edges,
     parse_quad,
     rays_collinear,
@@ -292,7 +293,58 @@ class TestRays:
         assert (r.key == s.key) == collinear
 
     def test_key_starts_at_one(self):
-        assert Ray.of("0", "r2", "2").key == (ZERO, ONE, ROOT2)
+        for components in [("0", "r2", "2"), ("0", "1", "r2"), ("0", "-1/3", "-1/3r2")]:
+            assert Ray.of(*components).key == (0, 0, 1, 0, 0, 1)
+
+    def test_key_is_integer_with_rational_lead(self):
+        # (1+r2, 1) times the conjugate 1-r2 is (-1, 1-r2); the sign flips.
+        assert Ray.of("1+1r2", "1").key == (1, 0, -1, 1)
+        assert Ray.of("0", "1/2", "0", "1/3").key == (0, 0, 3, 0, 0, 0, 2, 0)
+
+    def test_key_agrees_with_quad_key_oracle(self, oracle_quad_key, random_fractional_ray):
+        rng = random.Random(29)
+        agreed = {True: 0, False: 0}
+        for _ in range(1500):
+            d = rng.choice([3, 4, 5])
+            r = random_fractional_ray(rng, d)
+            if rng.random() < 0.5:
+                s = random_fractional_ray(rng, d)
+            else:
+                scale = Quad(Fraction(rng.randint(-7, 7), rng.choice([1, 3, 10**30 + 7])),
+                             Fraction(rng.randint(1, 5), rng.choice([1, 2, 9])))
+                s = Ray(tuple(c * scale for c in r.components))
+            expected = oracle_quad_key(r) == oracle_quad_key(s)
+            assert (r.key == s.key) == expected
+            assert all(isinstance(x, int) for x in r.key)
+            agreed[expected] += 1
+        assert min(agreed.values()) > 300
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_orthogonal_agrees_with_inner_product(self, d, random_fractional_ray):
+        rng = random.Random(31 + d)
+        agreed = {True: 0, False: 0}
+        for _ in range(600):
+            r = random_fractional_ray(rng, d)
+            t = random_fractional_ray(rng, d)
+            if rng.random() < 0.5:
+                # The part of t orthogonal to r, exact in Q(sqrt 2).
+                rr, tr = inner_product(r, r), inner_product(t, r)
+                projected = tuple(a * rr - b * tr for a, b in zip(t.components, r.components))
+                if all(c.is_zero for c in projected):
+                    continue
+                t = Ray(projected)
+            expected = inner_product(r, t).is_zero
+            assert orthogonal(r, t) == expected
+            assert orthogonal(t, r) == expected
+            agreed[expected] += 1
+        assert min(agreed.values()) > 150
+
+    def test_orthogonal_length_mismatch(self):
+        with pytest.raises(LogicError, match="length mismatch"):
+            orthogonal(Ray.of(1, 0, 0), Ray.of(0, 1, 0, 0))
+
+    def test_integer_form_clears_denominators(self):
+        assert Ray.of("1/2", "1/3r2", "-5/6+1/4r2").ints == ((6, 0), (0, 4), (-10, 3))
 
     def test_collinear_rays_have_proportional_inner_products(self):
         r = Ray.of("1", "r2", "-1")
