@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .model import (
     AbstractLogicError,
@@ -27,7 +27,6 @@ from .model import (
     _spreadsheet_label,
     collinear_classes,
     orthogonal,
-    orthogonality_adjacency,
 )
 from .model import inner_product, rays_collinear  # noqa: F401  (bench/spans.py traces them by name)
 
@@ -109,10 +108,9 @@ def complete_contexts(vectors: Iterable[tuple[str, Ray]], dimension: int) -> Log
     pairs = list(vectors)
     if not pairs:
         raise LogicError("no vectors given")
-    labels = [lbl for lbl, _ in pairs]
-    if len(set(labels)) != len(labels):
-        raise LogicError("vector labels must be distinct")
     rays = dict(pairs)
+    if len(rays) != len(pairs):
+        raise LogicError("vector labels must be distinct")
     for lbl, r in pairs:
         if len(r) != dimension:
             raise LogicError(
@@ -123,20 +121,17 @@ def complete_contexts(vectors: Iterable[tuple[str, Ray]], dimension: int) -> Log
         x, y = collinear[0][:2]
         raise LogicError(f"rays {x!r} and {y!r} are collinear")
 
-    neighbors: dict[str, set[str]] = {lbl: set() for lbl in labels}
-    for x, y in itertools.combinations(labels, 2):
-        if orthogonal(rays[x], rays[y]):
-            neighbors[x].add(y)
-            neighbors[y].add(x)
-
-    isolated = sorted(lbl for lbl in labels if not neighbors[lbl])
+    labels = sorted(rays)
+    edges = ((x, y) for x, y in itertools.combinations(labels, 2) if orthogonal(rays[x], rays[y]))
+    _, closed = _orthogonality_graph(labels, edges)
+    isolated = [lbl for lbl, mask in zip(labels, reversed(closed)) if not mask]
     if isolated:
         raise LogicError(
             f"ray {isolated[0]!r} is orthogonal to no other ray and can join no context"
         )
 
-    atoms = tuple(Atom(lbl, rays[lbl]) for lbl in sorted(labels))
-    cliques = _maximal_cliques(neighbors)
+    atoms = tuple(Atom(lbl, rays[lbl]) for lbl in labels)
+    cliques = _maximal_cliques(labels, closed)
     contexts = tuple(Context(_spreadsheet_label(i), c) for i, c in enumerate(cliques))
     logic = Logic(dimension, atoms, contexts)
     logic.validate()
@@ -238,15 +233,7 @@ def enumerate_states(logic: Logic) -> StateSpaceReport:
     (only in an unvalidated logic) doubles the states: it is free in each.
     """
     labels = logic.labels
-    position = {lbl: len(labels) - 1 - i for i, lbl in enumerate(labels)}
-    contexts: list[int] = []
-    blocks = [0] * len(labels)
-    for ctx in logic.contexts:
-        mask = sum(1 << position[m] for m in set(ctx.members))
-        for m in ctx.members:
-            blocks[position[m]] |= mask
-        contexts.append(mask)
-
+    contexts, blocks = _orthogonality_graph(labels, (ctx.members for ctx in logic.contexts))
     codes: list[int] = []
     stack = [(0, 0, contexts)]
     while stack:
@@ -352,17 +339,9 @@ class ParityCertificate:
 
 def parity_obstruction(logic: Logic) -> ParityCertificate | None:
     """Return a parity certificate if one exists, else None."""
-    multiplicities: dict[str, int] = {a.label: 0 for a in logic.atoms}
-    for ctx in logic.contexts:
-        for m in ctx.members:
-            multiplicities[m] += 1
-    if len(logic.contexts) % 2 == 1 and all(
-        v % 2 == 0 for v in multiplicities.values()
-    ):
-        return ParityCertificate(
-            context_count=len(logic.contexts),
-            atom_multiplicities=tuple(sorted(multiplicities.items())),
-        )
+    counts = sorted((x, len(owners)) for x, owners in logic.contexts_of.items())
+    if len(logic.contexts) % 2 == 1 and all(k % 2 == 0 for _, k in counts):
+        return ParityCertificate(len(logic.contexts), tuple(counts))
     return None
 
 
@@ -402,7 +381,7 @@ def infer_collapses(logic: Logic) -> CollapseReport:
     Sound but deliberately incomplete: a logic may be unrealizable in
     dimension d without triggering any merge.
     """
-    d = logic.dimension
+    d, labels = logic.dimension, logic.labels
     parent: dict[str, str] = {a.label: a.label for a in logic.atoms}
 
     def find(x: str) -> str:
@@ -418,7 +397,9 @@ def infer_collapses(logic: Logic) -> CollapseReport:
     while merged:
         merged = False
         extensions: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-        for clique in _maximal_cliques(orthogonality_adjacency(logic, find)):
+        groups = ({find(m) for m in c.members} for c in logic.contexts)
+        _, closed = _orthogonality_graph(labels, groups)
+        for clique in _maximal_cliques(labels, closed):
             for witness in itertools.combinations(clique, d - 1):
                 extensions.setdefault(witness, []).append(clique)
         for witness in sorted(extensions):
@@ -437,28 +418,53 @@ def infer_collapses(logic: Logic) -> CollapseReport:
     return CollapseReport(dimension=d, forced_identifications=tuple(found))
 
 
-def _maximal_cliques(adjacency: Mapping[str, set[str]]) -> list[tuple[str, ...]]:
-    """Every maximal clique of the graph as a sorted tuple, in sorted order.
+def _orthogonality_graph(
+    labels: Sequence[str], groups: Iterable[Iterable[str]]
+) -> tuple[list[int], list[int]]:
+    """The orthogonality graph whose cliques include the given label groups,
+    as int masks over ``labels`` (bit ``n-1-i`` is ``labels[i]``): each
+    group's mask, and per bit the closed neighbourhood, the union of the
+    groups containing it (0 for a label in none)."""
+    position = {lbl: len(labels) - 1 - i for i, lbl in enumerate(labels)}
+    masks: list[int] = []
+    closed = [0] * len(labels)
+    for group in groups:
+        mask = sum(1 << position[m] for m in set(group))
+        for m in group:
+            closed[position[m]] |= mask
+        masks.append(mask)
+    return masks, closed
+
+
+def _maximal_cliques(labels: Sequence[str], closed: Sequence[int]) -> list[tuple[str, ...]]:
+    """Every maximal clique of a graph from ``_orthogonality_graph`` as a
+    sorted label tuple, in sorted order; its vertices are the bits with a
+    nonzero closed neighbourhood.
 
     Bron and Kerbosch's search (CACM Algorithm 457) on an explicit stack, so
-    large cliques meet no recursion limit.  A node branches on its candidates
-    outside the neighbourhood of its pivot: the node of candidates | excluded
-    with the most neighbours.
+    large cliques meet no recursion limit; candidates and excluded vertices
+    are masks.  A node branches on its candidates outside the neighbourhood
+    of its pivot, the lowest bit of candidates | excluded.
     """
-    degree = {v: len(ns) for v, ns in adjacency.items()}
     cliques: list[tuple[str, ...]] = []
-    stack: list[tuple[tuple[str, ...], set[str], set[str]]] = [((), set(adjacency), set())]
+    stack = [((), sum(1 << bit for bit, mask in enumerate(closed) if mask), 0)]
     while stack:
         clique, candidates, excluded = stack.pop()
         if not candidates:
             if not excluded:
                 cliques.append(tuple(sorted(clique)))
             continue
-        pivot = max(candidates | excluded, key=degree.get)
-        for v in candidates - adjacency[pivot]:
-            stack.append((clique + (v,), candidates & adjacency[v], excluded & adjacency[v]))
-            candidates.remove(v)
-            excluded.add(v)
+        pivot = (candidates | excluded) & -(candidates | excluded)
+        branch = candidates & ~(closed[pivot.bit_length() - 1] ^ pivot)
+        while branch:
+            v = branch & -branch
+            branch ^= v
+            candidates ^= v
+            neighbours = closed[v.bit_length() - 1]
+            # bit b is labels[n-1-b], and v.bit_length() is b+1
+            stack.append((clique + (labels[-v.bit_length()],), candidates & neighbours,
+                          excluded & neighbours))
+            excluded |= v
     return sorted(cliques)
 
 

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 SQRT2 = math.sqrt(2.0)
 
@@ -433,20 +433,11 @@ class Logic:
         checker.finish()
 
 
-def orthogonality_adjacency(logic: Logic, rep: Callable[[str], str]) -> dict[str, set[str]]:
-    """Each member, mapped through ``rep``, with the mapped members it shares a context with."""
-    adjacency: dict[str, set[str]] = {}
-    for c in logic.contexts:
-        reps = {rep(m) for m in c.members}
-        for x in reps:
-            adjacency.setdefault(x, set()).update(reps - {x})
-    return adjacency
-
-
 def orthogonality_edges(logic: Logic) -> set[frozenset[str]]:
     """The binary orthogonality relation induced by context membership."""
-    adjacency = orthogonality_adjacency(logic, lambda label: label)
-    return {frozenset((x, y)) for x, ys in adjacency.items() for y in ys}
+    return {
+        frozenset((x, y)) for c in logic.contexts for x in c.members for y in c.members if x != y
+    }
 
 
 def make_logic(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -208,6 +209,18 @@ class TestCompleteContexts:
             complete_contexts(
                 [("A", Ray.of(1, 1, 1)), ("B", Ray.of(1, 0, 0))], 3
             )
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            [("A", Ray.of(1, 1, 1)), ("B", Ray.of(1, 0, 0))],
+            [("B", Ray.of(1, 0, 0)), ("A", Ray.of(1, 1, 1))],
+            [("C", Ray.of(0, 1, 0)), ("B", Ray.of(1, 0, 0)), ("A", Ray.of(1, 1, 1))],
+        ],
+    )
+    def test_names_the_first_isolated_vector_in_label_order(self, vectors):
+        with pytest.raises(LogicError, match="^ray 'A' is orthogonal to no other ray"):
+            complete_contexts(vectors, 3)
 
 
 CORPUS_STATE_FACTS = {
@@ -569,6 +582,20 @@ class TestInferCollapses:
         assert infer_collapses(corpus["tight3.gls"]).pairs
         assert not infer_collapses(corpus["tight3_4d.gls"]).pairs
 
+    def test_one_large_context_keeps_memory_small(self):
+        """One 1 200-member context in dimension 1 200.  A neighbour set per
+        atom peaked at about 75 MiB of allocations here; int masks need 12."""
+        labels = [f"x{i}" for i in range(1200)]
+        logic = Logic(1200, [Atom(x) for x in labels], [Context("a", labels)])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert infer_collapses(logic).forced_identifications == ()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 40 * 2**20
+
 
 def staged_collapse_logic(dim: int, stages: int) -> Logic:
     """Pairs (aK, bK) for K = 0..stages, where pair K can only merge in the
@@ -640,7 +667,10 @@ class TestMaximalCliques:
         edgeless = complete = isolated = 0
         for _ in range(400):
             adjacency = random_graph(rng)
-            assert _maximal_cliques(adjacency) == oracle_maximal_cliques(adjacency)
+            labels = sorted(adjacency)
+            bit = {v: 1 << len(labels) - 1 - i for i, v in enumerate(labels)}
+            closed = [sum(bit[u] for u in {v} | adjacency[v]) for v in reversed(labels)]
+            assert _maximal_cliques(labels, closed) == oracle_maximal_cliques(adjacency)
             n = len(adjacency)
             degrees = [len(ys) for ys in adjacency.values()]
             edgeless += n > 1 and not any(degrees)
