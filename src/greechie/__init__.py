@@ -19,8 +19,9 @@ from importlib import import_module
 _EXPORTS = {
     "analysis": """
         CollapseReport ContextCheck Identification ParityCertificate RealizationReport
-        RuleSet StateSpaceReport TwoValuedState complete_contexts derive_rules
-        enumerate_states infer_collapses make_star parity_obstruction verify_realization
+        RuleSet StateSpaceReport StateSummary TwoValuedState complete_contexts derive_rules
+        enumerate_states infer_collapses make_star parity_obstruction summarize_states
+        verify_realization
     """,
     "diagrams": "DOT_MODES DualEdge DualGraph emit_dot tkadlec_dual",
     "gls": """

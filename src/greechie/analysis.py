@@ -6,6 +6,12 @@ states does it admit, which implication rules do those states enforce, and
 when does the structure obstruct states (parity counting) or rays (forced
 collapses in a too-small dimension).
 
+Two searches answer the state question.  ``summarize_states`` counts the
+states and folds them into what the flags and the rules need, per atom the
+OR and the AND of the codes of the states where it is true, without listing
+any: a component-cached exact-cover search.  ``enumerate_states`` lists
+every state, for ``--list`` and as the oracle of the first.
+
 Everything is exact and deterministic: enumeration output is sorted, rule
 sets are set-valued, and no floating point is involved anywhere.
 """
@@ -123,7 +129,7 @@ def complete_contexts(vectors: Iterable[tuple[str, Ray]], dimension: int) -> Log
 
     labels = sorted(rays)
     edges = ((x, y) for x, y in itertools.combinations(labels, 2) if orthogonal(rays[x], rays[y]))
-    _, closed = _orthogonality_graph(labels, edges)
+    _, closed, _ = _orthogonality_graph(labels, edges)
     isolated = [lbl for lbl, mask in zip(labels, reversed(closed)) if not mask]
     if isolated:
         raise LogicError(
@@ -169,14 +175,54 @@ class TwoValuedState:
         return "".join(str(b) for b in self.bits)
 
 
+class _StateFacts:
+    """The flags a state report reads from its ``count`` and its per-atom
+    ``union`` and ``inter`` codes."""
+
+    @property
+    def empty(self) -> bool:
+        return not self.count
+
+    @property
+    def unital(self) -> bool:
+        """Every atom is true in some state."""
+        return not self.empty and all(self.union)
+
+    @property
+    def separating(self) -> bool:
+        """Every two atoms differ in some state.  Two atoms true in the same
+        states share their ``inter`` code, and two never-true atoms share 0;
+        an atom that is ever true is in its own ``inter``, so no other pair
+        shares one."""
+        return not self.empty and len(set(self.inter)) == len(self.inter)
+
+
 @dataclass(frozen=True)
-class StateSpaceReport:
+class StateSummary(_StateFacts):
+    """What the flags and the rules need of a state space, without its states.
+
+    ``labels`` is the sorted atom label tuple of the source logic and
+    ``count`` the number of states.  Per atom, in label order, ``union`` is
+    the OR and ``inter`` the AND of the codes (as in ``StateSpaceReport``)
+    of the states where it is true; both are 0 exactly for an atom that is
+    never true.
+    """
+
+    labels: tuple[str, ...]
+    count: int
+    union: tuple[int, ...]
+    inter: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class StateSpaceReport(_StateFacts):
     """Every two-valued state of a logic, stored once.
 
     ``labels`` is the sorted atom label tuple of the source logic.  Each state
     is an int code with bit ``n-1-i`` set when ``labels[i]`` is true, so int
     order is bit-string order; ``codes`` holds them in ascending order.
-    Everything else is derived from these two fields.
+    Everything else is derived from these two fields; ``union`` and
+    ``inter`` fold the codes into the per-atom codes of ``StateSummary``.
     """
 
     labels: tuple[str, ...]
@@ -187,32 +233,22 @@ class StateSpaceReport:
         return len(self.codes)
 
     @property
-    def empty(self) -> bool:
-        return not self.codes
+    def union(self) -> tuple[int, ...]:
+        return self._summary.union
 
     @property
-    def unital(self) -> bool:
-        """Every atom is true in some state."""
-        return not self.empty and all(self.masks)
+    def inter(self) -> tuple[int, ...]:
+        return self._summary.inter
 
-    @property
-    def separating(self) -> bool:
-        """Every two atoms differ in some state."""
-        return not self.empty and len(set(self.masks)) == len(self.masks)
+    @cached_property
+    def _summary(self) -> StateSummary:
+        return _fold(self.labels, self.codes)
 
     @cached_property
     def bit_strings(self) -> tuple[str, ...]:
         """Each state as its bit string in ``labels`` order, as ``--list`` prints it."""
-        return tuple(format(code, f"0{len(self.labels)}b") for code in self.codes)
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Per atom, in label order, the states where it is true: the atom's
-        column of the state bit matrix read as a number, first state most
-        significant."""
-        if self.empty:
-            return (0,) * len(self.labels)
-        return tuple(int("".join(column), 2) for column in zip(*self.bit_strings))
+        spec = f"0{len(self.labels)}b"
+        return tuple(format(code, spec) for code in self.codes)
 
     @cached_property
     def states(self) -> tuple[TwoValuedState, ...]:
@@ -233,7 +269,14 @@ def enumerate_states(logic: Logic) -> StateSpaceReport:
     (only in an unvalidated logic) doubles the states: it is free in each.
     """
     labels = logic.labels
-    contexts, blocks = _orthogonality_graph(labels, (ctx.members for ctx in logic.contexts))
+    contexts, blocks, _ = _orthogonality_graph(labels, (ctx.members for ctx in logic.contexts))
+    codes = _exact_covers(contexts, blocks)
+    codes.sort()
+    return StateSpaceReport(labels, tuple(codes))
+
+
+def _exact_covers(contexts: list[int], blocks: Sequence[int]) -> list[int]:
+    """The codes of every state of ``enumerate_states``, unsorted."""
     codes: list[int] = []
     stack = [(0, 0, contexts)]
     while stack:
@@ -260,8 +303,234 @@ def enumerate_states(logic: Logic) -> StateSpaceReport:
     for bit, mask in enumerate(blocks):
         if not mask:
             codes += [code | 1 << bit for code in codes]
-    codes.sort()
-    return StateSpaceReport(labels, tuple(codes))
+    return codes
+
+
+def _fold(labels: tuple[str, ...], codes: Iterable[int]) -> StateSummary:
+    """The summary of listed states: per atom, the OR and the AND of the
+    codes where it is true."""
+    n = len(labels)
+    union, inter, count = [0] * n, [-1] * n, 0  # per bit, not per label
+    for code in codes:
+        count += 1
+        rest = code
+        while rest:
+            atom = rest & -rest
+            bit = atom.bit_length() - 1
+            union[bit] |= code
+            inter[bit] &= code
+            rest ^= atom
+    return _per_label(labels, count, union, inter)
+
+
+def _per_label(labels: tuple[str, ...], count: int, union: list[int], inter: list[int]) -> StateSummary:
+    """The summary from per-bit ORs and ANDs, where an AND over no state is -1."""
+    union.reverse()
+    inter.reverse()
+    return StateSummary(labels, count, tuple(union), tuple(map(int.__and__, inter, union)))
+
+
+# Atoms up to which listing and folding the states is cheaper than the
+# summary search; a logic that small has few states (gamma1 has 14).
+_SMALL = 20
+
+
+def summarize_states(logic: Logic) -> StateSummary:
+    """Count the two-valued states and fold them into per-atom codes without
+    listing any.
+
+    The search covers contexts as ``enumerate_states`` does, with the same
+    masks and the same branching on the context with the fewest open
+    members, but first it sets true every atom that a context is left with
+    as its only open member.  The contexts still uncovered then fall apart
+    into components, linked by shared open members.  A component is keyed
+    by its context indices and its open atoms, which fix what it can do, and
+    is solved once whatever leads to it (the component caching of Thurley's
+    sharpSAT, SAT 2006): per branch the atoms it forced and its
+    subcomponents, and over all branches its count and the OR and AND of
+    its codes.  Counts multiply over components and add over branches.
+
+    A second pass walks the solved components from the root down.  Each
+    component gets the OR and the AND of the codes of everything around it
+    on the ways that reach it, and an atom forced in one of its branches
+    gets those, each joined with the branch's own OR or AND: the ``union``
+    and ``inter`` of that atom, over every state.  An atom in no context
+    (only in an unvalidated logic) is a component of its own with two
+    branches, true and false.  Both passes run on explicit stacks or loops,
+    so deep logics meet no recursion limit.
+    """
+    labels = logic.labels
+    n = len(labels)
+    groups = (ctx.members for ctx in logic.contexts)
+    contexts, blocks, owners = _orthogonality_graph(labels, groups)
+    if n <= _SMALL and all(blocks):
+        return _fold(labels, _exact_covers(contexts, blocks))
+
+    def settle(queue: int, free: int, uncovered: int, seeds: int) -> tuple[int, list] | None:
+        """Set the queued atoms true, then every atom some context is left
+        with as its only open member, and split the uncovered contexts into
+        components; None when a context loses all its open members.
+
+        ``free`` holds the open atoms.  Every component left holds a context
+        of ``seeds`` or one that lost an open member here, so a search from
+        each such context but the last finds them all, and one that reaches
+        every other seed is all that is left.
+        """
+        forced = 0
+        while queue:
+            atom = queue & -queue
+            queue ^= atom
+            if not atom & free:
+                return None
+            forced |= atom
+            bit = atom.bit_length() - 1
+            newly = blocks[bit] & free
+            free ^= newly
+            uncovered &= ~owners[bit]
+            touched = 0
+            while newly:
+                low = newly & -newly
+                touched |= owners[low.bit_length() - 1]
+                newly ^= low
+            touched &= uncovered
+            seeds |= touched
+            while touched:
+                low = touched & -touched
+                open_members = contexts[low.bit_length() - 1] & free
+                if not open_members & (open_members - 1):
+                    if not open_members:
+                        return None
+                    queue |= open_members
+                touched ^= low
+        seeds &= uncovered
+        parts = []
+        while seeds & (seeds - 1):
+            members = 0
+            atoms = frontier = contexts[(seeds & -seeds).bit_length() - 1] & free
+            while frontier and seeds & ~members:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    bit = low.bit_length() - 1
+                    reach |= blocks[bit]
+                    members |= owners[bit]
+                    frontier ^= low
+                frontier = reach & free & ~atoms
+                atoms |= frontier
+            if not seeds & ~members:
+                break
+            members &= uncovered
+            parts.append((members, atoms))
+            uncovered ^= members
+            free ^= atoms
+            seeds &= ~members
+        if uncovered:
+            parts.append((uncovered, free))
+        return forced, parts
+
+    # component (context indices, open atoms) -> (count, OR, AND, live branches),
+    # a live branch being (forced atoms, subcomponents, OR, AND)
+    solved: dict[tuple[int, int], tuple[int, int, int, list]] = {}
+    pending: dict[tuple[int, int], list] = {}
+    for bit, mask in enumerate(blocks):
+        if not mask:
+            atom = 1 << bit
+            solved[0, atom] = (2, atom, 0, [(atom, (), atom, atom), (0, (), 0, 0)])
+
+    def combine(branches: Iterable[tuple[int, list]]) -> tuple[int, int, int, list]:
+        count, any_code, all_code, live = 0, 0, -1, []
+        for forced, parts in branches:
+            product, one, every = 1, forced, forced
+            for part in parts:
+                part_count, part_any, part_all, _ = solved[part]
+                product *= part_count
+                one |= part_any
+                every |= part_all
+            if product:
+                count += product
+                any_code |= one
+                all_code &= every
+                live.append((forced, parts, one, every))
+        return count, any_code, all_code, live
+
+    units = covered = 0
+    for ctx in contexts:
+        covered |= ctx
+        if not ctx & (ctx - 1):
+            units |= ctx
+    everything = (1 << len(contexts)) - 1
+    root = settle(units, covered, everything, everything) if all(contexts) else None
+    if root is None:
+        return StateSummary(labels, 0, (0,) * n, (0,) * n)
+    root_forced, root_parts = root
+    root_parts += [part for part in solved]  # the atoms in no context
+
+    stack = list(root_parts)
+    while stack:
+        part = stack.pop()
+        if part in solved:
+            continue
+        branches = pending.pop(part, None)
+        if branches is None:
+            members, atoms = part
+            choice, fewest, rest = 0, 0, members
+            while rest:
+                low = rest & -rest
+                open_members = contexts[low.bit_length() - 1] & atoms
+                size = open_members.bit_count()
+                if not choice or size < fewest:
+                    choice, fewest = open_members, size
+                    if size == 2:  # settle left no context with fewer
+                        break
+                rest ^= low
+            branches = []
+            while choice:
+                atom = choice & -choice
+                branch = settle(atom, atoms, members, 0)
+                if branch is not None:
+                    branches.append(branch)
+                choice ^= atom
+            todo = [p for _, parts in branches for p in parts if p not in solved]
+            if todo:
+                pending[part] = branches
+                stack.append(part)
+                stack += todo
+                continue
+        solved[part] = combine(branches)
+
+    count, root_any, root_all, live = combine([(root_forced, root_parts)])
+    union, inter = [0] * n, [-1] * n  # per bit, not per label
+    around: dict[tuple[int, int], list[int]] = {}
+
+    def visit(out_any: int, out_all: int, forced: int, parts, one: int, every: int) -> None:
+        """Credit one live branch, reached with ``out_any``/``out_all`` around
+        it: its forced atoms get every code through it, and each of its
+        subcomponents what lies around that one."""
+        one |= out_any
+        every |= out_all
+        while forced:
+            atom = forced & -forced
+            bit = atom.bit_length() - 1
+            union[bit] |= one
+            inter[bit] &= every
+            forced ^= atom
+        for part in parts:
+            _, part_any, part_all, _ = solved[part]
+            seen = around.get(part)
+            if seen is None:
+                around[part] = [one ^ part_any, every ^ part_all]
+            else:
+                seen[0] |= one ^ part_any
+                seen[1] &= every ^ part_all
+
+    for branch in live:
+        visit(0, 0, *branch)
+    for part in reversed(solved):  # every component after all that lead to it
+        seen = around.get(part)
+        if seen is not None:
+            for branch in solved[part][3]:
+                visit(*seen, *branch)
+    return _per_label(labels, count, union, inter)
 
 
 # --------------------------------------------------------------------------
@@ -288,8 +557,10 @@ class RuleSet:
     explosion: bool
 
 
-def derive_rules(report: StateSpaceReport, logic: Logic) -> RuleSet:
-    """Extract the one-zero and one-one/zero-zero rules from a state set."""
+def derive_rules(report: StateSummary | StateSpaceReport, logic: Logic) -> RuleSet:
+    """Extract the one-zero and one-one/zero-zero rules from a state space:
+    x true forces y false when y is in no state with x (outside ``union[x]``),
+    and forces y true when y is in every state with x (inside ``inter[x]``)."""
     labels = logic.labels
     if report.labels != labels:
         raise LogicError("state report does not belong to this logic")
@@ -302,19 +573,22 @@ def derive_rules(report: StateSpaceReport, logic: Logic) -> RuleSet:
             explosion=True,
         )
 
-    masks = dict(zip(labels, report.masks))
-    possible = [(x, mx) for x, mx in masks.items() if mx]
-    one_zero = frozenset(
-        (x, y) for x, mx in possible for y, my in masks.items() if x != y and not mx & my
-    )
-    one_one = frozenset((x, y) for x, mx in possible for y, my in masks.items() if not mx & ~my)
+    def named(mask: int) -> Iterable[str]:
+        while mask:
+            atom = mask & -mask
+            yield labels[-atom.bit_length()]  # bit b is labels[n-1-b]
+            mask ^= atom
+
+    everyone = (1 << len(labels)) - 1
+    possible = [(x, u, i) for x, u, i in zip(labels, report.union, report.inter) if u]
+    one_one = frozenset((x, y) for x, _, inter in possible for y in named(inter))
     return RuleSet(
-        one_zero=one_zero,
+        one_zero=frozenset((x, y) for x, union, _ in possible for y in named(everyone & ~union)),
         one_one=one_one,
         equivalences=frozenset(
             frozenset((x, y)) for x, y in one_one if x < y and (y, x) in one_one
         ),
-        never_true=tuple(x for x, mx in masks.items() if not mx),
+        never_true=tuple(x for x, u in zip(labels, report.union) if not u),
         explosion=False,
     )
 
@@ -398,7 +672,7 @@ def infer_collapses(logic: Logic) -> CollapseReport:
         merged = False
         extensions: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
         groups = ({find(m) for m in c.members} for c in logic.contexts)
-        _, closed = _orthogonality_graph(labels, groups)
+        _, closed, _ = _orthogonality_graph(labels, groups)
         for clique in _maximal_cliques(labels, closed):
             for witness in itertools.combinations(clique, d - 1):
                 extensions.setdefault(witness, []).append(clique)
@@ -420,20 +694,28 @@ def infer_collapses(logic: Logic) -> CollapseReport:
 
 def _orthogonality_graph(
     labels: Sequence[str], groups: Iterable[Iterable[str]]
-) -> tuple[list[int], list[int]]:
+) -> tuple[list[int], list[int], list[int]]:
     """The orthogonality graph whose cliques include the given label groups,
     as int masks over ``labels`` (bit ``n-1-i`` is ``labels[i]``): each
     group's mask, and per bit the closed neighbourhood, the union of the
-    groups containing it (0 for a label in none)."""
+    groups containing it (0 for a label in none), and the owners, the
+    indices of those groups as a mask."""
     position = {lbl: len(labels) - 1 - i for i, lbl in enumerate(labels)}
     masks: list[int] = []
     closed = [0] * len(labels)
+    owners = [0] * len(labels)
+    index = 1
     for group in groups:
-        mask = sum(1 << position[m] for m in set(group))
-        for m in group:
-            closed[position[m]] |= mask
+        places = [position[m] for m in group]
+        mask = 0
+        for place in places:
+            mask |= 1 << place
+        for place in places:
+            closed[place] |= mask
+            owners[place] |= index
         masks.append(mask)
-    return masks, closed
+        index <<= 1
+    return masks, closed, owners
 
 
 def _maximal_cliques(labels: Sequence[str], closed: Sequence[int]) -> list[tuple[str, ...]]:
@@ -441,13 +723,35 @@ def _maximal_cliques(labels: Sequence[str], closed: Sequence[int]) -> list[tuple
     sorted label tuple, in sorted order; its vertices are the bits with a
     nonzero closed neighbourhood.
 
-    Bron and Kerbosch's search (CACM Algorithm 457) on an explicit stack, so
-    large cliques meet no recursion limit; candidates and excluded vertices
-    are masks.  A node branches on its candidates outside the neighbourhood
-    of its pivot, the lowest bit of candidates | excluded.
+    The root follows Eppstein, Löffler and Strash (ISAAC 2010): it searches
+    from each vertex in turn, with its later neighbours as candidates and
+    its earlier ones excluded.  Their degeneracy order is approximated by
+    the order of degrees, which costs one sort instead of an update per
+    edge.  A vertex whose candidates all neighbour one excluded vertex
+    starts no search: every clique it could grow extends by that vertex.
+    Below the root runs Bron and Kerbosch's search (CACM Algorithm 457) on
+    an explicit stack, so large cliques meet no recursion limit; candidates
+    and excluded vertices are masks.  A node branches on its candidates
+    outside the neighbourhood of its pivot, the lowest bit of
+    candidates | excluded.
     """
     cliques: list[tuple[str, ...]] = []
-    stack = [((), sum(1 << bit for bit, mask in enumerate(closed) if mask), 0)]
+    stack: list[tuple[tuple[str, ...], int, int]] = []
+    order = sorted(
+        (bit for bit, mask in enumerate(closed) if mask), key=lambda bit: closed[bit].bit_count()
+    )
+    later = sum(1 << bit for bit in order)
+    for bit in order:
+        v = 1 << bit
+        later ^= v
+        neighbours = closed[bit] ^ v
+        candidates, excluded = neighbours & later, neighbours & ~later
+        blocker = excluded
+        while blocker and candidates & ~closed[(blocker & -blocker).bit_length() - 1]:
+            blocker &= blocker - 1
+        if not blocker:
+            # bit b is labels[n-1-b]
+            stack.append(((labels[-bit - 1],), candidates, excluded))
     while stack:
         clique, candidates, excluded = stack.pop()
         if not candidates:
@@ -461,11 +765,11 @@ def _maximal_cliques(labels: Sequence[str], closed: Sequence[int]) -> list[tuple
             branch ^= v
             candidates ^= v
             neighbours = closed[v.bit_length() - 1]
-            # bit b is labels[n-1-b], and v.bit_length() is b+1
+            # v.bit_length() is b+1
             stack.append((clique + (labels[-v.bit_length()],), candidates & neighbours,
                           excluded & neighbours))
             excluded |= v
-    return sorted(cliques)
+    return sorted(cliques) or [()]  # the empty graph's one maximal clique
 
 
 # --------------------------------------------------------------------------

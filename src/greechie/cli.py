@@ -64,7 +64,7 @@ def _report_check(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[st
 
 
 def _report_states(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[str], bool]:
-    report = analysis.enumerate_states(logic)
+    report = analysis.summarize_states(logic)
     if args.count_only and not args.json:
         return {}, [str(report.count)], report.empty
     doc: dict[str, Any] = {
@@ -79,15 +79,15 @@ def _report_states(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[s
         f"unital={report.unital} separating={report.separating}"
     ]
     if args.list:
-        doc["states"] = list(report.bit_strings)
+        bit_strings = analysis.enumerate_states(logic).bit_strings
+        doc["states"] = list(bit_strings)
         lines.append("atoms: " + " ".join(logic.labels))
-        lines.extend(report.bit_strings)
+        lines.extend(bit_strings)
     return doc, lines, report.empty
 
 
 def _report_rules(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[str], bool]:
-    report = analysis.enumerate_states(logic)
-    rules = analysis.derive_rules(report, logic)
+    rules = analysis.derive_rules(analysis.summarize_states(logic), logic)
     one_zero = sorted(rules.one_zero)
     one_one = sorted((x, y) for x, y in rules.one_one if x != y)
     equivalences = sorted(tuple(sorted(e)) for e in rules.equivalences)
@@ -176,7 +176,7 @@ def _report_quantum(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[
     from . import quantum as qm  # the only subcommand that needs numpy
 
     pair = qm.EntangledPair(logic.dimension)
-    rules = analysis.derive_rules(analysis.enumerate_states(logic), logic)
+    rules = analysis.derive_rules(analysis.summarize_states(logic), logic)
 
     def claim(row: qm.FalsificationRow) -> str:
         verdict = "VIOLATED" if row.violated else "consistent"

@@ -2,7 +2,8 @@
 
 The oracle enumerators here deliberately share no code or strategy with the
 package: one scans all 2^n assignments, the other recurses over per-context
-choices without any propagation.  The collapse, clique and dual oracles keep
+choices without any propagation.  Counts, rules and per-atom summaries are
+read straight from the state lists they return.  The collapse, clique and dual oracles keep
 the direct definitions the package replaced with faster searches: every
 (d-1)-subset of atoms, every node subset, and every pair of contexts.  The
 quantum oracle keeps the one-pair Kronecker-product contraction the batched
@@ -12,7 +13,9 @@ integer key replaced.  Tests compare the package against them.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -124,6 +127,20 @@ def rules_from_states(labels: list[str], states: list[tuple[int, ...]]):
         frozenset((x, y)) for x, y in one_one if x != y and (y, x) in one_one
     }
     return one_zero, one_one, equivalences, never_true
+
+
+def summary_from_states(labels: list[str], states: list[tuple[int, ...]]):
+    """The count, and per label the OR and the AND of the codes of the
+    states where it is true (0 when it never is), straight from a state
+    list; a state's code has bit n-1-i set when labels[i] is true."""
+    n = len(labels)
+    codes = [sum(bit << n - 1 - i for i, bit in enumerate(state)) for state in states]
+    union, inter = [], []
+    for i in range(n):
+        codes_true = [code for code, state in zip(codes, states) if state[i]]
+        union.append(functools.reduce(operator.or_, codes_true, 0))
+        inter.append(functools.reduce(operator.and_, codes_true) if codes_true else 0)
+    return len(states), tuple(union), tuple(inter)
 
 
 def collapse_scan(logic: Logic) -> CollapseReport:
@@ -460,6 +477,11 @@ def oracle_choices():
 @pytest.fixture(scope="session")
 def oracle_rules():
     return rules_from_states
+
+
+@pytest.fixture(scope="session")
+def oracle_summary():
+    return summary_from_states
 
 
 @pytest.fixture(scope="session")

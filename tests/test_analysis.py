@@ -16,6 +16,7 @@ from greechie.analysis import (
     infer_collapses,
     make_star,
     parity_obstruction,
+    summarize_states,
     verify_realization,
 )
 from greechie.gls import CORPUS_FILES, load_corpus, serialize_logic
@@ -370,6 +371,94 @@ class TestEnumerateStates:
             )
 
 
+class TestSummarizeStates:
+    """The summary search, which lists no state, against the per-atom codes
+    read from the states of the 2^n scan, and against the choice
+    recursion's count."""
+
+    @staticmethod
+    def summary(logic):
+        s = summarize_states(logic)
+        return s.count, s.union, s.inter
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_STATE_FACTS))
+    def test_corpus_counts_and_flags(self, corpus, name):
+        summary = summarize_states(corpus[name])
+        assert (summary.count, summary.unital, summary.separating) == CORPUS_STATE_FACTS[name]
+        assert summary.empty == (summary.count == 0)
+
+    def test_random_logics(self, oracle_bitmask, oracle_choices, oracle_summary, random_logic):
+        rng = random.Random(409)
+        for _ in range(200):
+            logic = random_logic(rng, max_atoms=12)
+            states = oracle_bitmask(logic)
+            assert self.summary(logic) == oracle_summary(list(logic.labels), states)
+            assert summarize_states(logic).count == len(oracle_choices(logic))
+
+    def test_atoms_in_no_context_are_free(self, oracle_bitmask, oracle_summary, random_logic):
+        """Unvalidated logics: extra atoms in no context double the count
+        and are true in some states and false in others."""
+        rng = random.Random(419)
+        for _ in range(100):
+            base = random_logic(rng, max_atoms=10)
+            extra = tuple(Atom(f"y{i}") for i in range(rng.randint(1, 3)))
+            logic = Logic(base.dimension, base.atoms + extra, base.contexts)
+            states = oracle_bitmask(logic)
+            assert self.summary(logic) == oracle_summary(list(logic.labels), states)
+            assert summarize_states(logic).count == summarize_states(base).count << len(extra)
+
+    def test_empty_state_spaces(self, oracle_choices, random_parity_logic):
+        rng = random.Random(53)
+        for _ in range(25):
+            logic = random_parity_logic(rng)
+            summary = summarize_states(logic)
+            assert oracle_choices(logic) == []
+            assert (summary.count, summary.unital, summary.separating) == (0, False, False)
+            assert summary.union == summary.inter == (0,) * len(logic.labels)
+
+    def test_overlapping_contexts(self, oracle_bitmask, oracle_summary, random_overlapping_contexts):
+        rng = random.Random(5)
+        for _ in range(300):
+            logic = random_overlapping_contexts(rng)
+            assert self.summary(logic) == oracle_summary(list(logic.labels), oracle_bitmask(logic))
+
+    def test_large_logics_go_through_the_component_search(
+        self, oracle_choices, oracle_summary, random_logic
+    ):
+        """More than 20 atoms are searched by components, not listed: glue
+        two random logics side by side or over one shared atom."""
+        rng = random.Random(421)
+        large = 0
+        for _ in range(60):
+            left, right = random_logic(rng, max_atoms=18), random_logic(rng, max_atoms=18)
+            renamed = {a.label: f"z{a.label}" for a in right.atoms}
+            shared = rng.choice([None, *left.labels])
+            if shared is not None:
+                renamed[right.labels[0]] = shared
+            atoms = left.atoms + tuple(
+                Atom(renamed[a.label]) for a in right.atoms if renamed[a.label] != shared
+            )
+            contexts = left.contexts + tuple(
+                Context(f"z{c.label}", tuple(renamed[m] for m in c.members))
+                for c in right.contexts
+            )
+            logic = Logic(max(left.dimension, right.dimension), atoms, contexts)
+            states = oracle_choices(logic)
+            assert self.summary(logic) == oracle_summary(list(logic.labels), states)
+            large += len(atoms) > 20
+        assert large >= 25
+
+    @pytest.mark.parametrize(
+        "name, logic",
+        [(n, load_corpus(n)) for n in CORPUS_FILES] + [(f"star{d}", make_star(d)) for d in range(3, 8)],
+        ids=[*CORPUS_FILES, *(f"star{d}" for d in range(3, 8))],
+    )
+    def test_rules_match_enumerated_states(self, name, logic):
+        assert derive_rules(summarize_states(logic), logic) == derive_rules(
+            enumerate_states(logic), logic
+        )
+
+
 class TestDeriveRules:
     def test_gamma1_rules(self, gamma1):
         report = enumerate_states(gamma1)
@@ -677,6 +766,31 @@ class TestMaximalCliques:
             complete += n > 1 and all(k == n - 1 for k in degrees)
             isolated += any(degrees) and not all(degrees)
         assert min(edgeless, complete, isolated) >= 20
+
+
+    @staticmethod
+    def chain_graph(k):
+        """The orthogonality graph of k triads L_i M_i L_i+1."""
+        contexts = [(f"L{i}", f"M{i}", f"L{i + 1}") for i in range(k)]
+        adjacency: dict[str, set[str]] = {}
+        for ctx in contexts:
+            for x in ctx:
+                adjacency.setdefault(x, set()).update(set(ctx) - {x})
+        return contexts, adjacency
+
+    def closed_masks(self, adjacency):
+        labels = sorted(adjacency)
+        bit = {v: 1 << len(labels) - 1 - i for i, v in enumerate(labels)}
+        return labels, [sum(bit[u] for u in {v} | adjacency[v]) for v in reversed(labels)]
+
+    def test_short_chain_agrees_with_subset_scan(self, oracle_maximal_cliques):
+        _, adjacency = self.chain_graph(4)
+        assert _maximal_cliques(*self.closed_masks(adjacency)) == oracle_maximal_cliques(adjacency)
+
+    def test_long_chain_has_its_triads(self):
+        contexts, adjacency = self.chain_graph(400)
+        expected = sorted(tuple(sorted(ctx)) for ctx in contexts)
+        assert _maximal_cliques(*self.closed_masks(adjacency)) == expected
 
 
 class TestMakeStar:

@@ -545,16 +545,31 @@ class TestDotAndStar:
         assert target.read_text(encoding="utf-8").startswith("graph logic {")
 
 
-@pytest.fixture(scope="module")
-def long_chain(tmp_path_factory) -> str:
-    """1 500 three-atom contexts in dimension 3, each sharing one atom with the next."""
-    k = 1500
+def write_triad_chain(tmp_path_factory, k: int) -> str:
+    """k three-atom contexts in dimension 3, each sharing one atom with the next."""
     lines = ["dim 3"]
     lines += [f"atom L{i}" for i in range(k + 1)]
     lines += [f"atom M{i}" for i in range(k)]
     lines += [f"context c{i} L{i} M{i} L{i + 1}" for i in range(k)]
-    path = tmp_path_factory.mktemp("deep") / "chain.gls"
+    path = tmp_path_factory.mktemp("deep") / f"chain{k}.gls"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def long_chain(tmp_path_factory) -> str:
+    return write_triad_chain(tmp_path_factory, 1500)
+
+
+@pytest.fixture(scope="module")
+def triad_chain(tmp_path_factory) -> str:
+    return write_triad_chain(tmp_path_factory, 400)
+
+
+@pytest.fixture(scope="module")
+def star26(tmp_path_factory) -> str:
+    path = tmp_path_factory.mktemp("deep") / "star26.gls"
+    path.write_text(serialize_logic(make_star(26)), encoding="utf-8")
     return str(path)
 
 
@@ -571,11 +586,25 @@ def pair_chain(tmp_path_factory) -> str:
 
 
 class TestDeepInputs:
-    def test_collapse_on_the_largest_star(self, capsys, tmp_path):
-        path = tmp_path / "star26.gls"
-        path.write_text(serialize_logic(make_star(26)), encoding="utf-8")
-        code, out, err = run_cli(capsys, "collapse", str(path))
+    def test_collapse_on_the_largest_star(self, capsys, star26):
+        code, out, err = run_cli(capsys, "collapse", star26)
         assert (code, out, err) == (0, "no forced identifications\n", "")
+
+    def test_state_count_on_the_largest_star(self, capsys, star26):
+        assert run_cli(capsys, "states", "--count-only", star26) == (0, f"{26 * 25**25}\n", "")
+
+    def test_rules_on_the_largest_star(self, capsys, star26):
+        code, out, err = run_cli(capsys, "rules", "--json", star26)
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["reports"][0]["one_zero"]) == 27 * 26 * 25
+
+    def test_state_count_on_a_triad_chain(self, capsys, triad_chain):
+        """About 10**84 states, counted without listing one: a chain of k
+        triads has Fibonacci F(k + 3) of them."""
+        previous, current = 1, 1  # F(1), F(2)
+        for _ in range(401):
+            previous, current = current, previous + current
+        assert run_cli(capsys, "states", "--count-only", triad_chain) == (0, f"{current}\n", "")
 
     def test_collapse_on_one_large_context(self, capsys, tmp_path):
         atoms = [f"x{i}" for i in range(1200)]

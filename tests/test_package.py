@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -15,6 +16,8 @@ from greechie import analysis
 from greechie.cli import main
 from greechie.gls import corpus_path
 
+import test_golden as golden
+
 ROOT = Path(__file__).resolve().parents[1]
 SUBMODULES = ("analysis", "diagrams", "gls", "model", "quantum")
 
@@ -24,11 +27,12 @@ EXPECTED_ALL = [
     "FalsificationRow", "GlsParseError", "Identification", "JointPrediction", "Logic",
     "LogicError", "ONE", "PROB_TOL", "ParityCertificate", "Quad",
     "ROOT2", "Ray", "RealizationReport", "RuleSet", "StateSpaceReport",
-    "TwoValuedState", "ZERO", "complete_contexts", "confront", "context_completeness",
-    "corpus_path", "derive_rules", "emit_dot", "enumerate_states", "falsification_report",
-    "format_quad", "infer_collapses", "inner_product", "joint_probability", "load_corpus",
-    "load_logic", "make_logic", "make_star", "orthogonality_edges", "parity_obstruction",
-    "parse_logic", "parse_quad", "rays_collinear", "serialize_logic", "tkadlec_dual",
+    "StateSummary", "TwoValuedState", "ZERO", "complete_contexts", "confront",
+    "context_completeness", "corpus_path", "derive_rules", "emit_dot", "enumerate_states",
+    "falsification_report", "format_quad", "infer_collapses", "inner_product",
+    "joint_probability", "load_corpus", "load_logic", "make_logic", "make_star",
+    "orthogonality_edges", "parity_obstruction", "parse_logic", "parse_quad",
+    "rays_collinear", "serialize_logic", "summarize_states", "tkadlec_dual",
     "unit_vector", "verify_realization", "__version__",
 ]
 # Exported values that carry no __module__ of their own.
@@ -55,7 +59,7 @@ def run_fresh(code: str) -> subprocess.CompletedProcess:
 class TestExports:
     def test_all_is_pinned(self):
         assert greechie.__all__ == EXPECTED_ALL
-        assert len(greechie.__all__) == 53
+        assert len(greechie.__all__) == 55
 
     @pytest.mark.parametrize("name", EXPECTED_ALL[:-1])
     def test_name_is_the_object_of_its_module(self, name):
@@ -119,10 +123,32 @@ class TestLazyImport:
         )
 
 
-def test_count_only_needs_no_state_masks(capsys, monkeypatch):
-    def refuse(report):
-        raise AssertionError("states --count-only must not build the per-atom masks")
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("gamma1.gls", ("states", "--count-only")),
+        ("gamma1.gls", ("states", "--json")),
+        ("gamma3pair.gls", ("rules", "--json")),
+    ],
+)
+def test_summary_commands_list_no_state(monkeypatch, name, argv):
+    """Counting, flagging and rule derivation read the per-atom summary
+    only: with ``enumerate_states`` refusing to run, the output still
+    matches the golden table."""
+    def refuse(logic):
+        raise AssertionError("this command must not list the states")
 
-    monkeypatch.setattr(analysis.StateSpaceReport, "masks", property(refuse))
-    assert main(["states", "--count-only", str(corpus_path("gamma1.gls"))]) == 0
-    assert capsys.readouterr().out == "14\n"
+    monkeypatch.setattr(analysis, "enumerate_states", refuse)
+    table = json.loads(golden.TABLE.read_text(encoding="utf-8"))
+    assert golden.digest(name, argv) == table[golden.key(name, argv)]
+
+
+def test_quantum_pair_lists_no_state(capsys, monkeypatch):
+    def refuse(logic):
+        raise AssertionError("quantum must not list the states")
+
+    monkeypatch.setattr(analysis, "enumerate_states", refuse)
+    assert main(["quantum", "--pair", "K,E", str(corpus_path("gamma1.gls"))]) == 0
+    assert capsys.readouterr().out == (
+        "pair (K,E): classical 0, quantum 0.037037037, VIOLATED (one-zero)\n"
+    )
