@@ -357,7 +357,8 @@ def summarize_states(logic: Logic) -> StateSummary:
     and ``inter`` of that atom, over every state.  An atom in no context
     (only in an unvalidated logic) is a component of its own with two
     branches, true and false.  Both passes run on explicit stacks or loops,
-    so deep logics meet no recursion limit.
+    so deep logics meet no recursion limit.  A logic of at most ``_SMALL``
+    atoms, all in contexts, is listed and folded instead.
     """
     labels = logic.labels
     n = len(labels)
@@ -463,7 +464,7 @@ def summarize_states(logic: Logic) -> StateSummary:
     if root is None:
         return StateSummary(labels, 0, (0,) * n, (0,) * n)
     root_forced, root_parts = root
-    root_parts += [part for part in solved]  # the atoms in no context
+    root_parts += list(solved)  # the atoms in no context
 
     stack = list(root_parts)
     while stack:
@@ -498,7 +499,7 @@ def summarize_states(logic: Logic) -> StateSummary:
                 continue
         solved[part] = combine(branches)
 
-    count, root_any, root_all, live = combine([(root_forced, root_parts)])
+    count, _, _, live = combine([(root_forced, root_parts)])
     union, inter = [0] * n, [-1] * n  # per bit, not per label
     around: dict[tuple[int, int], list[int]] = {}
 

@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+from greechie import analysis
 from greechie.analysis import (
     _maximal_cliques,
     complete_contexts,
@@ -374,7 +375,14 @@ class TestEnumerateStates:
 class TestSummarizeStates:
     """The summary search, which lists no state, against the per-atom codes
     read from the states of the 2^n scan, and against the choice
-    recursion's count."""
+    recursion's count.  Logics of at most ``_SMALL`` atoms are listed and
+    folded instead, so the tests on small logics also run with that bound
+    at 0, where the component search takes every logic."""
+
+    @pytest.fixture(params=["listed", "searched"])
+    def either_path(self, request, monkeypatch):
+        if request.param == "searched":
+            monkeypatch.setattr(analysis, "_SMALL", 0)
 
     @staticmethod
     def summary(logic):
@@ -382,12 +390,14 @@ class TestSummarizeStates:
         return s.count, s.union, s.inter
 
     @pytest.mark.parametrize("name", sorted(CORPUS_STATE_FACTS))
-    def test_corpus_counts_and_flags(self, corpus, name):
+    def test_corpus_counts_and_flags(self, corpus, name, either_path):
         summary = summarize_states(corpus[name])
         assert (summary.count, summary.unital, summary.separating) == CORPUS_STATE_FACTS[name]
         assert summary.empty == (summary.count == 0)
 
-    def test_random_logics(self, oracle_bitmask, oracle_choices, oracle_summary, random_logic):
+    def test_random_logics(
+        self, oracle_bitmask, oracle_choices, oracle_summary, random_logic, either_path
+    ):
         rng = random.Random(409)
         for _ in range(200):
             logic = random_logic(rng, max_atoms=12)
@@ -395,7 +405,9 @@ class TestSummarizeStates:
             assert self.summary(logic) == oracle_summary(list(logic.labels), states)
             assert summarize_states(logic).count == len(oracle_choices(logic))
 
-    def test_atoms_in_no_context_are_free(self, oracle_bitmask, oracle_summary, random_logic):
+    def test_atoms_in_no_context_are_free(
+        self, oracle_bitmask, oracle_summary, random_logic, either_path
+    ):
         """Unvalidated logics: extra atoms in no context double the count
         and are true in some states and false in others."""
         rng = random.Random(419)
@@ -407,7 +419,7 @@ class TestSummarizeStates:
             assert self.summary(logic) == oracle_summary(list(logic.labels), states)
             assert summarize_states(logic).count == summarize_states(base).count << len(extra)
 
-    def test_empty_state_spaces(self, oracle_choices, random_parity_logic):
+    def test_empty_state_spaces(self, oracle_choices, random_parity_logic, either_path):
         rng = random.Random(53)
         for _ in range(25):
             logic = random_parity_logic(rng)
@@ -416,7 +428,9 @@ class TestSummarizeStates:
             assert (summary.count, summary.unital, summary.separating) == (0, False, False)
             assert summary.union == summary.inter == (0,) * len(logic.labels)
 
-    def test_overlapping_contexts(self, oracle_bitmask, oracle_summary, random_overlapping_contexts):
+    def test_overlapping_contexts(
+        self, oracle_bitmask, oracle_summary, random_overlapping_contexts, either_path
+    ):
         rng = random.Random(5)
         for _ in range(300):
             logic = random_overlapping_contexts(rng)
@@ -449,11 +463,11 @@ class TestSummarizeStates:
         assert large >= 25
 
     @pytest.mark.parametrize(
-        "name, logic",
-        [(n, load_corpus(n)) for n in CORPUS_FILES] + [(f"star{d}", make_star(d)) for d in range(3, 8)],
+        "logic",
+        [*map(load_corpus, CORPUS_FILES), *(make_star(d) for d in range(3, 8))],
         ids=[*CORPUS_FILES, *(f"star{d}" for d in range(3, 8))],
     )
-    def test_rules_match_enumerated_states(self, name, logic):
+    def test_rules_match_enumerated_states(self, logic, either_path):
         assert derive_rules(summarize_states(logic), logic) == derive_rules(
             enumerate_states(logic), logic
         )
@@ -750,23 +764,27 @@ class TestCollapseOracle:
         assert not found_after_first_round(logic, infer_collapses(logic))
 
 
+def closed_masks(adjacency):
+    """Sorted labels and, per bit, the closed neighbourhood mask of a graph
+    given as adjacency sets, the input form of ``_maximal_cliques``."""
+    labels = sorted(adjacency)
+    bit = {v: 1 << len(labels) - 1 - i for i, v in enumerate(labels)}
+    return labels, [sum(bit[u] for u in {v} | adjacency[v]) for v in reversed(labels)]
+
+
 class TestMaximalCliques:
     def test_agrees_with_subset_scan(self, oracle_maximal_cliques, random_graph):
         rng = random.Random(19)
         edgeless = complete = isolated = 0
         for _ in range(400):
             adjacency = random_graph(rng)
-            labels = sorted(adjacency)
-            bit = {v: 1 << len(labels) - 1 - i for i, v in enumerate(labels)}
-            closed = [sum(bit[u] for u in {v} | adjacency[v]) for v in reversed(labels)]
-            assert _maximal_cliques(labels, closed) == oracle_maximal_cliques(adjacency)
+            assert _maximal_cliques(*closed_masks(adjacency)) == oracle_maximal_cliques(adjacency)
             n = len(adjacency)
             degrees = [len(ys) for ys in adjacency.values()]
             edgeless += n > 1 and not any(degrees)
             complete += n > 1 and all(k == n - 1 for k in degrees)
             isolated += any(degrees) and not all(degrees)
         assert min(edgeless, complete, isolated) >= 20
-
 
     @staticmethod
     def chain_graph(k):
@@ -778,19 +796,14 @@ class TestMaximalCliques:
                 adjacency.setdefault(x, set()).update(set(ctx) - {x})
         return contexts, adjacency
 
-    def closed_masks(self, adjacency):
-        labels = sorted(adjacency)
-        bit = {v: 1 << len(labels) - 1 - i for i, v in enumerate(labels)}
-        return labels, [sum(bit[u] for u in {v} | adjacency[v]) for v in reversed(labels)]
-
     def test_short_chain_agrees_with_subset_scan(self, oracle_maximal_cliques):
         _, adjacency = self.chain_graph(4)
-        assert _maximal_cliques(*self.closed_masks(adjacency)) == oracle_maximal_cliques(adjacency)
+        assert _maximal_cliques(*closed_masks(adjacency)) == oracle_maximal_cliques(adjacency)
 
     def test_long_chain_has_its_triads(self):
         contexts, adjacency = self.chain_graph(400)
         expected = sorted(tuple(sorted(ctx)) for ctx in contexts)
-        assert _maximal_cliques(*self.closed_masks(adjacency)) == expected
+        assert _maximal_cliques(*closed_masks(adjacency)) == expected
 
 
 class TestMakeStar:
