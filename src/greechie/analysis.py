@@ -6,11 +6,12 @@ states does it admit, which implication rules do those states enforce, and
 when does the structure obstruct states (parity counting) or rays (forced
 collapses in a too-small dimension).
 
-Two searches answer the state question.  ``summarize_states`` counts the
-states and folds them into what the flags and the rules need, per atom the
-OR and the AND of the codes of the states where it is true, without listing
-any: a component-cached exact-cover search.  ``enumerate_states`` lists
-every state, for ``--list`` and as the oracle of the first.
+One search answers the state question: a component-cached exact-cover
+search that solves each component of the uncovered contexts once.
+``summarize_states`` reads from its table what the flags and the rules
+need, per atom the OR and the AND of the codes of the states where it is
+true, without listing any state.  ``enumerate_states`` expands the same
+table into every state, for ``--list``.
 
 Everything is exact and deterministic: enumeration output is sorted, rule
 sets are set-valued, and no floating point is involved anywhere.
@@ -33,6 +34,7 @@ from .model import (
     _spreadsheet_label,
     collinear_classes,
     orthogonal,
+    quote_token,
 )
 from .model import inner_product, rays_collinear  # noqa: F401  (bench/spans.py traces them by name)
 
@@ -120,12 +122,12 @@ def complete_contexts(vectors: Iterable[tuple[str, Ray]], dimension: int) -> Log
     for lbl, r in pairs:
         if len(r) != dimension:
             raise LogicError(
-                f"ray {lbl!r} has {len(r)} components, expected {dimension}"
+                f"ray {quote_token(lbl)} has {len(r)} components, expected {dimension}"
             )
     collinear = collinear_classes(pairs)
     if collinear:
         x, y = collinear[0][:2]
-        raise LogicError(f"rays {x!r} and {y!r} are collinear")
+        raise LogicError(f"rays {quote_token(x)} and {quote_token(y)} are collinear")
 
     labels = sorted(rays)
     edges = ((x, y) for x, y in itertools.combinations(labels, 2) if orthogonal(rays[x], rays[y]))
@@ -133,7 +135,7 @@ def complete_contexts(vectors: Iterable[tuple[str, Ray]], dimension: int) -> Log
     isolated = [lbl for lbl, mask in zip(labels, reversed(closed)) if not mask]
     if isolated:
         raise LogicError(
-            f"ray {isolated[0]!r} is orthogonal to no other ray and can join no context"
+            f"ray {quote_token(isolated[0])} is orthogonal to no other ray and can join no context"
         )
 
     atoms = tuple(Atom(lbl, rays[lbl]) for lbl in labels)
@@ -175,9 +177,22 @@ class TwoValuedState:
         return "".join(str(b) for b in self.bits)
 
 
-class _StateFacts:
-    """The flags a state report reads from its ``count`` and its per-atom
-    ``union`` and ``inter`` codes."""
+@dataclass(frozen=True)
+class StateSummary:
+    """What the flags and the rules need of a state space, without its states.
+
+    ``labels`` is the sorted atom label tuple of the source logic and
+    ``count`` the number of states.  A state's code is the int with bit
+    ``n-1-i`` set when ``labels[i]`` is true, so int order is bit-string
+    order.  Per atom, in label order, ``union`` is the OR and ``inter`` the
+    AND of the codes of the states where it is true; both are 0 exactly for
+    an atom that is never true.
+    """
+
+    labels: tuple[str, ...]
+    count: int
+    union: tuple[int, ...]
+    inter: tuple[int, ...]
 
     @property
     def empty(self) -> bool:
@@ -198,51 +213,12 @@ class _StateFacts:
 
 
 @dataclass(frozen=True)
-class StateSummary(_StateFacts):
-    """What the flags and the rules need of a state space, without its states.
+class StateSpaceReport(StateSummary):
+    """A state summary with every state listed: ``codes`` holds the codes in
+    ascending order, and ``bit_strings`` and ``states`` are derived from
+    them when asked for."""
 
-    ``labels`` is the sorted atom label tuple of the source logic and
-    ``count`` the number of states.  Per atom, in label order, ``union`` is
-    the OR and ``inter`` the AND of the codes (as in ``StateSpaceReport``)
-    of the states where it is true; both are 0 exactly for an atom that is
-    never true.
-    """
-
-    labels: tuple[str, ...]
-    count: int
-    union: tuple[int, ...]
-    inter: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class StateSpaceReport(_StateFacts):
-    """Every two-valued state of a logic, stored once.
-
-    ``labels`` is the sorted atom label tuple of the source logic.  Each state
-    is an int code with bit ``n-1-i`` set when ``labels[i]`` is true, so int
-    order is bit-string order; ``codes`` holds them in ascending order.
-    Everything else is derived from these two fields; ``union`` and
-    ``inter`` fold the codes into the per-atom codes of ``StateSummary``.
-    """
-
-    labels: tuple[str, ...]
     codes: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.codes)
-
-    @property
-    def union(self) -> tuple[int, ...]:
-        return self._summary.union
-
-    @property
-    def inter(self) -> tuple[int, ...]:
-        return self._summary.inter
-
-    @cached_property
-    def _summary(self) -> StateSummary:
-        return _fold(self.labels, self.codes)
 
     @cached_property
     def bit_strings(self) -> tuple[str, ...]:
@@ -256,116 +232,75 @@ class StateSpaceReport(_StateFacts):
         return tuple(TwoValuedState(self.labels, tuple(map(int, s))) for s in self.bit_strings)
 
 
-def enumerate_states(logic: Logic) -> StateSpaceReport:
-    """Enumerate every two-valued state as an exact cover of the contexts by atoms.
-
-    Atoms and contexts are int masks (``labels[0]`` the most significant
-    bit), and an atom's ``blocks`` mask is the union of its contexts.  An
-    explicit stack of ``(chosen, blocked, uncovered)`` nodes branches, as
-    Knuth's Algorithm X does, on the uncovered context with the fewest open
-    members: one open member forces it, none ends the branch.  Choosing an
-    atom blocks every atom it shares a context with, so no context gets a
-    second true atom and nothing is ever undone.  An atom in no context
-    (only in an unvalidated logic) doubles the states: it is free in each.
-    """
-    labels = logic.labels
-    contexts, blocks, _ = _orthogonality_graph(labels, (ctx.members for ctx in logic.contexts))
-    codes = _exact_covers(contexts, blocks)
-    codes.sort()
-    return StateSpaceReport(labels, tuple(codes))
-
-
-def _exact_covers(contexts: list[int], blocks: Sequence[int]) -> list[int]:
-    """The codes of every state of ``enumerate_states``, unsorted."""
-    codes: list[int] = []
-    stack = [(0, 0, contexts)]
-    while stack:
-        chosen, blocked, uncovered = stack.pop()
-        rest: list[int] = []
-        branch, fewest = None, 0
-        for ctx in uncovered:
-            if ctx & chosen:
-                continue
-            open_members = ctx & ~blocked
-            size = open_members.bit_count()
-            if branch is None or size < fewest:
-                branch, fewest = open_members, size
-                if not size:
-                    break
-            rest.append(ctx)
-        if branch is None:
-            codes.append(chosen)
-            continue
-        while branch:
-            atom = branch & -branch
-            stack.append((chosen | atom, blocked | blocks[atom.bit_length() - 1], rest))
-            branch ^= atom
-    for bit, mask in enumerate(blocks):
-        if not mask:
-            codes += [code | 1 << bit for code in codes]
-    return codes
-
-
-def _fold(labels: tuple[str, ...], codes: Iterable[int]) -> StateSummary:
-    """The summary of listed states: per atom, the OR and the AND of the
-    codes where it is true."""
-    n = len(labels)
-    union, inter, count = [0] * n, [-1] * n, 0  # per bit, not per label
-    for code in codes:
-        count += 1
-        rest = code
-        while rest:
-            atom = rest & -rest
-            bit = atom.bit_length() - 1
-            union[bit] |= code
-            inter[bit] &= code
-            rest ^= atom
-    return _per_label(labels, count, union, inter)
-
-
-def _per_label(labels: tuple[str, ...], count: int, union: list[int], inter: list[int]) -> StateSummary:
-    """The summary from per-bit ORs and ANDs, where an AND over no state is -1."""
-    union.reverse()
-    inter.reverse()
-    return StateSummary(labels, count, tuple(union), tuple(map(int.__and__, inter, union)))
-
-
-# Atoms up to which listing and folding the states is cheaper than the
-# summary search; a logic that small has few states (gamma1 has 14).
-_SMALL = 20
-
-
 def summarize_states(logic: Logic) -> StateSummary:
     """Count the two-valued states and fold them into per-atom codes without
-    listing any.
+    listing any."""
+    return StateSummary(logic.labels, *_per_atom(len(logic.labels), *_search(logic)))
 
-    The search covers contexts as ``enumerate_states`` does, with the same
-    masks and the same branching on the context with the fewest open
-    members, but first it sets true every atom that a context is left with
-    as its only open member.  The contexts still uncovered then fall apart
-    into components, linked by shared open members.  A component is keyed
-    by its context indices and its open atoms, which fix what it can do, and
-    is solved once whatever leads to it (the component caching of Thurley's
-    sharpSAT, SAT 2006): per branch the atoms it forced and its
-    subcomponents, and over all branches its count and the OR and AND of
-    its codes.  Counts multiply over components and add over branches.
 
-    A second pass walks the solved components from the root down.  Each
-    component gets the OR and the AND of the codes of everything around it
-    on the ways that reach it, and an atom forced in one of its branches
-    gets those, each joined with the branch's own OR or AND: the ``union``
-    and ``inter`` of that atom, over every state.  An atom in no context
-    (only in an unvalidated logic) is a component of its own with two
-    branches, true and false.  Both passes run on explicit stacks or loops,
-    so deep logics meet no recursion limit.  A logic of at most ``_SMALL``
-    atoms, all in contexts, is listed and folded instead.
+def enumerate_states(logic: Logic) -> StateSpaceReport:
+    """Every two-valued state, listed from the component table of the same
+    search, with the summary of ``summarize_states``.
+
+    A component's codes are, per live branch, its forced atoms ORed into
+    every combination of its subcomponents' codes.  The table lists
+    children before parents, so one pass over it in that order lists each
+    component once; it skips the components that no live branch from the
+    root reaches, whose states no state of the logic extends.
+    """
+    solved, root = _search(logic)
+    reached = {part for _, parts, _, _ in root[3] for part in parts}
+    for part in reversed(solved):
+        if part in reached:
+            reached.update(p for _, parts, _, _ in solved[part][3] for p in parts)
+    listed: dict[tuple[int, int], list[int]] = {}
+
+    def expand(live: list) -> list[int]:
+        codes: list[int] = []
+        for forced, parts, _, _ in live:
+            branch = [forced]
+            for part in parts:
+                branch = [code | sub for code in branch for sub in listed[part]]
+            codes += branch
+        return codes
+
+    for part, (_, _, _, live) in solved.items():
+        if part in reached:
+            listed[part] = expand(live)
+    codes = expand(root[3])
+    codes.sort()
+    labels = logic.labels
+    return StateSpaceReport(labels, *_per_atom(len(labels), solved, root), tuple(codes))
+
+
+# A solved component: (count, OR, AND, live branches), a live branch being
+# (forced atoms, subcomponents, OR, AND) over the states through it.
+_Solved = tuple[int, int, int, list]
+
+
+def _search(logic: Logic) -> tuple[dict[tuple[int, int], _Solved], _Solved]:
+    """The component table of the state search and the solved root.
+
+    The search covers contexts by atoms as Knuth's Algorithm X does, over
+    int masks (``labels[0]`` the most significant bit): it branches on the
+    uncovered context with the fewest open members, and choosing an atom
+    blocks every atom it shares a context with.  Before any branch it sets
+    true every atom that a context is left with as its only open member.
+    The contexts still uncovered then fall apart into components, linked by
+    shared open members.  A component is keyed by its context indices and
+    its open atoms, which fix what it can do, and is solved once whatever
+    leads to it (the component caching of Thurley's sharpSAT, SAT 2006):
+    per branch the atoms it forced and its subcomponents, and over all
+    branches its count and the OR and AND of its codes.  Counts multiply
+    over components and add over branches.  An atom in no context (only in
+    an unvalidated logic) is a component of its own with two branches, true
+    and false.  The table is filled on an explicit stack, so deep logics
+    meet no recursion limit, and every component enters it after its
+    subcomponents.  A root with no state has no live branch.
     """
     labels = logic.labels
-    n = len(labels)
     groups = (ctx.members for ctx in logic.contexts)
     contexts, blocks, owners = _orthogonality_graph(labels, groups)
-    if n <= _SMALL and all(blocks):
-        return _fold(labels, _exact_covers(contexts, blocks))
 
     def settle(queue: int, free: int, uncovered: int, seeds: int) -> tuple[int, list] | None:
         """Set the queued atoms true, then every atom some context is left
@@ -429,16 +364,14 @@ def summarize_states(logic: Logic) -> StateSummary:
             parts.append((uncovered, free))
         return forced, parts
 
-    # component (context indices, open atoms) -> (count, OR, AND, live branches),
-    # a live branch being (forced atoms, subcomponents, OR, AND)
-    solved: dict[tuple[int, int], tuple[int, int, int, list]] = {}
+    solved: dict[tuple[int, int], _Solved] = {}  # keyed by (context indices, open atoms)
     pending: dict[tuple[int, int], list] = {}
     for bit, mask in enumerate(blocks):
         if not mask:
             atom = 1 << bit
             solved[0, atom] = (2, atom, 0, [(atom, (), atom, atom), (0, (), 0, 0)])
 
-    def combine(branches: Iterable[tuple[int, list]]) -> tuple[int, int, int, list]:
+    def combine(branches: Iterable[tuple[int, list]]) -> _Solved:
         count, any_code, all_code, live = 0, 0, -1, []
         for forced, parts in branches:
             product, one, every = 1, forced, forced
@@ -462,7 +395,7 @@ def summarize_states(logic: Logic) -> StateSummary:
     everything = (1 << len(contexts)) - 1
     root = settle(units, covered, everything, everything) if all(contexts) else None
     if root is None:
-        return StateSummary(labels, 0, (0,) * n, (0,) * n)
+        return solved, (0, 0, -1, [])
     root_forced, root_parts = root
     root_parts += list(solved)  # the atoms in no context
 
@@ -498,8 +431,21 @@ def summarize_states(logic: Logic) -> StateSummary:
                 stack += todo
                 continue
         solved[part] = combine(branches)
+    return solved, combine([(root_forced, root_parts)])
 
-    count, _, _, live = combine([(root_forced, root_parts)])
+
+def _per_atom(
+    n: int, solved: dict[tuple[int, int], _Solved], root: _Solved
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The count and, per label, the ``union`` and ``inter`` codes of a
+    solved search over ``n`` atoms.
+
+    The pass walks the solved components from the root down.  Each
+    component gets the OR and the AND of the codes of everything around it
+    on the ways that reach it, and an atom forced in one of its branches
+    gets those, each joined with the branch's own OR or AND: the ``union``
+    and ``inter`` of that atom, over every state.
+    """
     union, inter = [0] * n, [-1] * n  # per bit, not per label
     around: dict[tuple[int, int], list[int]] = {}
 
@@ -524,14 +470,16 @@ def summarize_states(logic: Logic) -> StateSummary:
                 seen[0] |= one ^ part_any
                 seen[1] &= every ^ part_all
 
-    for branch in live:
+    for branch in root[3]:
         visit(0, 0, *branch)
     for part in reversed(solved):  # every component after all that lead to it
         seen = around.get(part)
         if seen is not None:
             for branch in solved[part][3]:
                 visit(*seen, *branch)
-    return _per_label(labels, count, union, inter)
+    union.reverse()
+    inter.reverse()
+    return root[0], tuple(union), tuple(map(int.__and__, inter, union))
 
 
 # --------------------------------------------------------------------------
@@ -558,7 +506,7 @@ class RuleSet:
     explosion: bool
 
 
-def derive_rules(report: StateSummary | StateSpaceReport, logic: Logic) -> RuleSet:
+def derive_rules(report: StateSummary, logic: Logic) -> RuleSet:
     """Extract the one-zero and one-one/zero-zero rules from a state space:
     x true forces y false when y is in no state with x (outside ``union[x]``),
     and forces y true when y is in every state with x (inside ``inter[x]``)."""

@@ -64,7 +64,7 @@ def _report_check(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[st
 
 
 def _report_states(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[str], bool]:
-    report = analysis.summarize_states(logic)
+    report = (analysis.enumerate_states if args.list else analysis.summarize_states)(logic)
     if args.count_only and not args.json:
         return {}, [str(report.count)], report.empty
     doc: dict[str, Any] = {
@@ -79,10 +79,9 @@ def _report_states(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[s
         f"unital={report.unital} separating={report.separating}"
     ]
     if args.list:
-        bit_strings = analysis.enumerate_states(logic).bit_strings
-        doc["states"] = list(bit_strings)
+        doc["states"] = list(report.bit_strings)
         lines.append("atoms: " + " ".join(logic.labels))
-        lines.extend(bit_strings)
+        lines.extend(report.bit_strings)
     return doc, lines, report.empty
 
 

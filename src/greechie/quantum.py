@@ -21,7 +21,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .analysis import RuleSet
-from .model import Context, Logic, LogicError, Ray
+from .model import Context, Logic, LogicError, Ray, quote_token
 
 PROB_TOL = 1e-9
 
@@ -200,12 +200,12 @@ def context_completeness(
     if isinstance(context, str):
         matches = [c for c in logic.contexts if c.label == context]
         if not matches:
-            raise LogicError(f"no context labeled {context!r}")
+            raise LogicError(f"no context labeled {quote_token(context)}")
         context = matches[0]
     d = pair.dimension
     if len(context.members) != d:
         raise LogicError(
-            f"context {context.label!r} has {len(context.members)} members; "
+            f"context {quote_token(context.label)} has {len(context.members)} members; "
             f"completeness needs exactly {d}"
         )
     lefts = np.array([unit_vector(logic.ray_of(m), d) for m in context.members])

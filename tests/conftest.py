@@ -3,12 +3,14 @@
 The oracle enumerators here deliberately share no code or strategy with the
 package: one scans all 2^n assignments, the other recurses over per-context
 choices without any propagation.  Counts, rules and per-atom summaries are
-read straight from the state lists they return.  The collapse, clique and dual oracles keep
-the direct definitions the package replaced with faster searches: every
-(d-1)-subset of atoms, every node subset, and every pair of contexts.  The
-quantum oracle keeps the one-pair Kronecker-product contraction the batched
-einsum replaced, and the ray-key oracle keeps the Quad-division key that the
-integer key replaced.  Tests compare the package against them.
+read straight from the state lists they return, or folded code by code from
+a listing.  The collapse, clique and dual oracles keep the direct definitions
+the package replaced with faster searches: every (d-1)-subset of atoms that
+is a clique, in lexicographic order, every node subset, and every pair of
+contexts.  The quantum oracle keeps the one-pair Kronecker-product
+contraction the batched einsum replaced, and the ray-key oracle keeps the
+Quad-division key that the integer key replaced.  Tests compare the package
+against them.
 """
 
 from __future__ import annotations
@@ -143,8 +145,44 @@ def summary_from_states(labels: list[str], states: list[tuple[int, ...]]):
     return len(states), tuple(union), tuple(inter)
 
 
+def summary_from_codes(labels: Sequence[str], codes: Sequence[int]):
+    """What ``summary_from_states`` gives, folded code by code from listed
+    state codes, for state spaces too large for per-label passes."""
+    n = len(labels)
+    union, inter = [0] * n, [-1] * n  # per bit, not per label
+    for code in codes:
+        rest = code
+        while rest:
+            atom = rest & -rest
+            bit = atom.bit_length() - 1
+            union[bit] |= code
+            inter[bit] &= code
+            rest ^= atom
+    union.reverse()
+    inter.reverse()
+    return len(codes), tuple(union), tuple(u & i for u, i in zip(union, inter))
+
+
+def cliques_in_order(nodes: list[str], adjacency: Mapping[str, set[str]], k: int):
+    """The k-subsets of the sorted ``nodes`` that are cliques, in the order
+    ``itertools.combinations`` gives all k-subsets: a prefix is extended
+    only while it is still a clique, since no extension of a non-clique is
+    one."""
+    def extend(prefix: tuple[str, ...], start: int):
+        if len(prefix) == k:
+            yield prefix
+            return
+        for i in range(start, len(nodes) - (k - len(prefix)) + 1):
+            z = nodes[i]
+            if all(z in adjacency[w] for w in prefix):
+                yield from extend(prefix + (z,), i + 1)
+
+    return extend((), 0)
+
+
 def collapse_scan(logic: Logic) -> CollapseReport:
-    """Collapse inference over every (d-1)-subset of atoms in each round."""
+    """Collapse inference over every (d-1)-subset of atoms in each round
+    that is a clique."""
     d = logic.dimension
     parent: dict[str, str] = {a.label: a.label for a in logic.atoms}
 
@@ -167,12 +205,7 @@ def collapse_scan(logic: Logic) -> CollapseReport:
                 adjacency.setdefault(x, set()).add(y)
                 adjacency.setdefault(y, set()).add(x)
         nodes = sorted(adjacency)
-        for witness in itertools.combinations(nodes, d - 1):
-            if any(
-                y not in adjacency[x]
-                for x, y in itertools.combinations(witness, 2)
-            ):
-                continue
+        for witness in cliques_in_order(nodes, adjacency, d - 1):
             commons = sorted(
                 z for z in nodes
                 if z not in witness and all(z in adjacency[w] for w in witness)
@@ -482,6 +515,11 @@ def oracle_rules():
 @pytest.fixture(scope="session")
 def oracle_summary():
     return summary_from_states
+
+
+@pytest.fixture(scope="session")
+def oracle_fold():
+    return summary_from_codes
 
 
 @pytest.fixture(scope="session")

@@ -8,8 +8,8 @@ import tracemalloc
 
 import pytest
 
-from greechie import analysis
 from greechie.analysis import (
+    StateSummary,
     _maximal_cliques,
     complete_contexts,
     derive_rules,
@@ -224,6 +224,31 @@ class TestCompleteContexts:
         with pytest.raises(LogicError, match="^ray 'A' is orthogonal to no other ray"):
             complete_contexts(vectors, 3)
 
+    @pytest.mark.parametrize(
+        "vectors, message",
+        [
+            (
+                [("A" * 5000, Ray.of(1, 0))],
+                "ray 'AAAAAAAAAAAAAAAAAAAA'... (5000 characters) has 2 components, expected 3",
+            ),
+            (
+                [("A" * 5000, Ray.of(1, 0, 0)), ("B" * 5000, Ray.of(2, 0, 0))],
+                "rays 'AAAAAAAAAAAAAAAAAAAA'... (5000 characters) and "
+                "'BBBBBBBBBBBBBBBBBBBB'... (5000 characters) are collinear",
+            ),
+            (
+                [("A" * 5000, Ray.of(1, 1, 1)), ("B", Ray.of(1, 0, 0))],
+                "ray 'AAAAAAAAAAAAAAAAAAAA'... (5000 characters) is orthogonal to no other ray "
+                "and can join no context",
+            ),
+        ],
+        ids=["components", "collinear", "isolated"],
+    )
+    def test_long_label_is_shortened(self, vectors, message):
+        with pytest.raises(LogicError) as err:
+            complete_contexts(vectors, 3)
+        assert str(err.value) == message
+
 
 CORPUS_STATE_FACTS = {
     "star4.gls": (108, True, True),
@@ -313,6 +338,32 @@ class TestEnumerateStates:
         got = [s.bits for s in enumerate_states(gamma3pair).states]
         assert got == expected
 
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_agrees_with_choice_recursion_on_stars(self, d, oracle_choices):
+        logic = make_star(d)
+        assert [s.bits for s in enumerate_states(logic).states] == oracle_choices(logic)
+
+    def test_dead_component_is_not_listed(self):
+        """star7 beside an odd triangle of two-member contexts has no state.
+        Listing star7's 326 592 states, none of which extends to the whole
+        logic, peaked at about 13 MiB of allocations."""
+        star = make_star(7)
+        triangle = ("t0", "t1"), ("t1", "t2"), ("t2", "t0")
+        logic = Logic(
+            7,
+            star.atoms + tuple(Atom(f"t{i}") for i in range(3)),
+            star.contexts + tuple(Context(f"t{i}", pair) for i, pair in enumerate(triangle)),
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = enumerate_states(logic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.codes == () and report.empty
+        assert peak - before < 2**20
+
     def test_agrees_with_oracles_on_random_logics(
         self, oracle_bitmask, oracle_choices, random_logic
     ):
@@ -372,26 +423,32 @@ class TestEnumerateStates:
             )
 
 
+def fields(summary):
+    """A summary's count and per-atom codes, as the oracles give them."""
+    return summary.count, summary.union, summary.inter
+
+
 class TestSummarizeStates:
-    """The summary search, which lists no state, against the per-atom codes
-    read from the states of the 2^n scan, and against the choice
-    recursion's count.  Logics of at most ``_SMALL`` atoms are listed and
-    folded instead, so the tests on small logics also run with that bound
-    at 0, where the component search takes every logic."""
+    """Both readings of the state search's component table against the
+    per-atom codes read from the states of the 2^n scan, and against the
+    choice recursion's count.  ``either_path`` hands each test one reading
+    as a function from a logic to a ``StateSummary``: the summary that
+    ``summarize_states`` computes without listing a state, or the one folded
+    code by code from what ``enumerate_states`` lists."""
 
     @pytest.fixture(params=["listed", "searched"])
-    def either_path(self, request, monkeypatch):
+    def either_path(self, request, oracle_fold):
         if request.param == "searched":
-            monkeypatch.setattr(analysis, "_SMALL", 0)
+            return summarize_states
 
-    @staticmethod
-    def summary(logic):
-        s = summarize_states(logic)
-        return s.count, s.union, s.inter
+        def listed(logic):
+            return StateSummary(logic.labels, *oracle_fold(logic.labels, enumerate_states(logic).codes))
+
+        return listed
 
     @pytest.mark.parametrize("name", sorted(CORPUS_STATE_FACTS))
     def test_corpus_counts_and_flags(self, corpus, name, either_path):
-        summary = summarize_states(corpus[name])
+        summary = either_path(corpus[name])
         assert (summary.count, summary.unital, summary.separating) == CORPUS_STATE_FACTS[name]
         assert summary.empty == (summary.count == 0)
 
@@ -402,8 +459,9 @@ class TestSummarizeStates:
         for _ in range(200):
             logic = random_logic(rng, max_atoms=12)
             states = oracle_bitmask(logic)
-            assert self.summary(logic) == oracle_summary(list(logic.labels), states)
-            assert summarize_states(logic).count == len(oracle_choices(logic))
+            summary = either_path(logic)
+            assert fields(summary) == oracle_summary(list(logic.labels), states)
+            assert summary.count == len(oracle_choices(logic))
 
     def test_atoms_in_no_context_are_free(
         self, oracle_bitmask, oracle_summary, random_logic, either_path
@@ -416,14 +474,15 @@ class TestSummarizeStates:
             extra = tuple(Atom(f"y{i}") for i in range(rng.randint(1, 3)))
             logic = Logic(base.dimension, base.atoms + extra, base.contexts)
             states = oracle_bitmask(logic)
-            assert self.summary(logic) == oracle_summary(list(logic.labels), states)
-            assert summarize_states(logic).count == summarize_states(base).count << len(extra)
+            summary = either_path(logic)
+            assert fields(summary) == oracle_summary(list(logic.labels), states)
+            assert summary.count == either_path(base).count << len(extra)
 
     def test_empty_state_spaces(self, oracle_choices, random_parity_logic, either_path):
         rng = random.Random(53)
         for _ in range(25):
             logic = random_parity_logic(rng)
-            summary = summarize_states(logic)
+            summary = either_path(logic)
             assert oracle_choices(logic) == []
             assert (summary.count, summary.unital, summary.separating) == (0, False, False)
             assert summary.union == summary.inter == (0,) * len(logic.labels)
@@ -434,13 +493,15 @@ class TestSummarizeStates:
         rng = random.Random(5)
         for _ in range(300):
             logic = random_overlapping_contexts(rng)
-            assert self.summary(logic) == oracle_summary(list(logic.labels), oracle_bitmask(logic))
+            expected = oracle_summary(list(logic.labels), oracle_bitmask(logic))
+            assert fields(either_path(logic)) == expected
 
     def test_large_logics_go_through_the_component_search(
         self, oracle_choices, oracle_summary, random_logic
     ):
-        """More than 20 atoms are searched by components, not listed: glue
-        two random logics side by side or over one shared atom."""
+        """Glue two random logics side by side or over one shared atom, past
+        the reach of the 2^n scan: both the summary and the listing against
+        the choice recursion."""
         rng = random.Random(421)
         large = 0
         for _ in range(60):
@@ -458,7 +519,8 @@ class TestSummarizeStates:
             )
             logic = Logic(max(left.dimension, right.dimension), atoms, contexts)
             states = oracle_choices(logic)
-            assert self.summary(logic) == oracle_summary(list(logic.labels), states)
+            assert fields(summarize_states(logic)) == oracle_summary(list(logic.labels), states)
+            assert [s.bits for s in enumerate_states(logic).states] == states
             large += len(atoms) > 20
         assert large >= 25
 
@@ -468,7 +530,7 @@ class TestSummarizeStates:
         ids=[*CORPUS_FILES, *(f"star{d}" for d in range(3, 8))],
     )
     def test_rules_match_enumerated_states(self, logic, either_path):
-        assert derive_rules(summarize_states(logic), logic) == derive_rules(
+        assert derive_rules(either_path(logic), logic) == derive_rules(
             enumerate_states(logic), logic
         )
 

@@ -143,6 +143,26 @@ def test_summary_commands_list_no_state(monkeypatch, name, argv):
     assert golden.digest(name, argv) == table[golden.key(name, argv)]
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("gamma1.gls", ("states", "--list")),
+        ("cabello18.gls", ("states", "--list")),
+        ("gamma3pair.gls", ("states", "--list", "--json")),
+    ],
+)
+def test_state_list_runs_one_search(monkeypatch, name, argv):
+    """``states --list`` reads its count and flags from the listing's own
+    search: with ``summarize_states`` refusing to run, the output still
+    matches the golden table."""
+    def refuse(logic):
+        raise AssertionError("--list must not run a second state search")
+
+    monkeypatch.setattr(analysis, "summarize_states", refuse)
+    table = json.loads(golden.TABLE.read_text(encoding="utf-8"))
+    assert golden.digest(name, argv) == table[golden.key(name, argv)]
+
+
 def test_quantum_pair_lists_no_state(capsys, monkeypatch):
     def refuse(logic):
         raise AssertionError("quantum must not list the states")

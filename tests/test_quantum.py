@@ -15,7 +15,7 @@ import pytest
 
 from greechie.analysis import derive_rules, enumerate_states, make_star
 from greechie.gls import load_corpus
-from greechie.model import AbstractLogicError, Atom, Logic, LogicError, Ray
+from greechie.model import AbstractLogicError, Atom, Context, Logic, LogicError, Ray
 from greechie.quantum import (
     PROB_TOL,
     EntangledPair,
@@ -343,6 +343,19 @@ class TestContextCompleteness:
             context_completeness(
                 EntangledPair(4), logic, "a", [1.0, 0.0, 0.0, 0.0]
             )
+
+    def test_long_labels_are_shortened(self, corpus):
+        logic = corpus["tight3_4d.gls"]
+        with pytest.raises(LogicError) as err:
+            context_completeness(EntangledPair(4), logic, "z" * 5000, [1.0, 0.0, 0.0, 0.0])
+        assert str(err.value) == "no context labeled 'zzzzzzzzzzzzzzzzzzzz'... (5000 characters)"
+        short = Context("c" * 5000, logic.contexts[0].members[:2])
+        with pytest.raises(LogicError) as err:
+            context_completeness(EntangledPair(4), logic, short, [1.0, 0.0, 0.0, 0.0])
+        assert str(err.value) == (
+            "context 'cccccccccccccccccccc'... (5000 characters) has 2 members; "
+            "completeness needs exactly 4"
+        )
 
 
 def oracle_quantum(kron, pair: EntangledPair, logic: Logic, row: FalsificationRow) -> float:
