@@ -623,6 +623,8 @@ def infer_collapses(logic: Logic) -> CollapseReport:
         groups = ({find(m) for m in c.members} for c in logic.contexts)
         _, closed, _ = _orthogonality_graph(labels, groups)
         for clique in _maximal_cliques(labels, closed):
+            if len(clique) < d - 1:
+                continue  # no witness; combinations() would reserve d-1 slots
             for witness in itertools.combinations(clique, d - 1):
                 extensions.setdefault(witness, []).append(clique)
         for witness in sorted(extensions):

@@ -12,9 +12,9 @@ keys, probabilities printed with nine decimals in text mode.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -193,7 +193,7 @@ def _report_quantum(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[
             "marginal_right": prediction.marginal_right,
         }
         row = qm.confront(rules, x, y, **probs)
-        doc = {**asdict(row), **probs}
+        doc = {**vars(row), **probs}
         if row.classical is None:
             line = f"pair ({x},{y}): no classical rule, quantum {_fmt(row.quantum)}"
         else:
@@ -204,7 +204,7 @@ def _report_quantum(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[
     lines = [f"{r.kind} ({r.pair[0]},{r.pair[1]}): {claim(r)}" for r in rows]
     violated_count = sum(1 for r in rows if r.violated)
     lines.append(f"{violated_count} of {len(rows)} rules violated")
-    return {"rows": [asdict(r) for r in rows]}, lines, violated_count > 0
+    return {"rows": [vars(r) for r in rows]}, lines, violated_count > 0
 
 
 # --------------------------------------------------------------------------
@@ -280,6 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_star.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
     return parser
+
+
+# ``main`` reuses one parser per process: ``parse_args`` keeps its state in a
+# fresh Namespace, and help width and output streams are read when printing.
+# Built on first use, not at import.
+_parser = functools.cache(build_parser)
 
 
 # --------------------------------------------------------------------------
@@ -362,9 +368,8 @@ def _run_star(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

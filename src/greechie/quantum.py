@@ -167,7 +167,7 @@ def falsification_report(
     one-zero pairs in sorted order, then the equivalences as sorted pairs.
 
     Every atom's ray is looked up first, so an abstract logic is refused
-    even when it has no rules.
+    even when it has no rules; with no rules nothing is contracted.
     """
     if pair.dimension != logic.dimension:
         raise LogicError(
@@ -175,9 +175,12 @@ def falsification_report(
             f"logic has {logic.dimension}"
         )
     d = pair.dimension
-    units = np.array([unit_vector(logic.ray_of(x), d) for x in logic.labels]).reshape(-1, d)
-    index = {x: i for i, x in enumerate(logic.labels)}
+    vectors = [unit_vector(logic.ray_of(x), d) for x in logic.labels]
     pairs = sorted(rules.one_zero) + sorted(tuple(sorted(e)) for e in rules.equivalences)
+    if not pairs:
+        return ()
+    units = np.array(vectors)
+    index = {x: i for i, x in enumerate(logic.labels)}
     probs = _contract(
         pair,
         units[[index[x] for x, _ in pairs]],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -11,10 +12,12 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from greechie.analysis import make_star
+from greechie import cli
+from greechie.analysis import derive_rules, make_star, summarize_states
 from greechie.cli import main
-from greechie.gls import corpus_path, load_corpus, serialize_logic
-from greechie.model import Atom, Logic
+from greechie.gls import CORPUS_FILES, corpus_path, load_corpus, serialize_logic
+from greechie.model import Atom, Logic, LogicError
+from greechie.quantum import EntangledPair, confront, falsification_report, joint_probability
 
 
 LONG_LABEL = "A" * 5000
@@ -545,6 +548,99 @@ class TestDotAndStar:
         assert target.read_text(encoding="utf-8").startswith("graph logic {")
 
 
+SUBCOMMANDS = ("check", "states", "rules", "parity", "collapse", "dual", "dot", "quantum", "star")
+
+# Each case is a sequence of argv runs; "{out}" stands for a file in tmp_path.
+PARSER_CASES = {
+    "help": [["-h"]],
+    **{f"{name} help": [[name, "-h"]] for name in SUBCOMMANDS},
+    "unknown subcommand": [["bogus"]],
+    "no arguments": [[]],
+    "strict on dual": [["dual", "--strict", path_of("gamma1.gls")]],
+    "list with count-only": [["states", "--list", "--count-only", path_of("gamma1.gls")]],
+    "bad star dimension": [["star", "0x5"]],
+    "options then a bare run": [
+        ["check", "--out", "{out}", "--strict", "--json", path_of("gamma1.gls")],
+        ["check", path_of("gamma1.gls")],
+    ],
+}
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; every run must still see
+    exactly what a freshly built parser gives."""
+
+    @staticmethod
+    def outcomes(capsys, runs: list[list[str]], out: Path) -> list[tuple]:
+        results = []
+        for argv in runs:
+            code = main([arg.replace("{out}", str(out)) for arg in argv])
+            captured = capsys.readouterr()
+            written = out.read_text(encoding="utf-8") if out.exists() else None
+            out.unlink(missing_ok=True)
+            results.append((code, captured.out, captured.err, written))
+        return results
+
+    @pytest.mark.parametrize("runs", PARSER_CASES.values(), ids=PARSER_CASES.keys())
+    def test_reused_parser_matches_a_fresh_one(self, capsys, monkeypatch, tmp_path, runs):
+        out = tmp_path / "report.json"
+        reused = [self.outcomes(capsys, runs, out) for _ in range(2)]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self.outcomes(capsys, runs, out)
+        assert reused == [fresh, fresh]
+
+    def test_help_width_is_read_when_printing(self, capsys, monkeypatch, tmp_path):
+        out = tmp_path / "unused"
+        texts = []
+        for columns in ("50", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            texts.append(self.outcomes(capsys, [["states", "-h"]], out))
+        assert texts[0] != texts[1]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert self.outcomes(capsys, [["states", "-h"]], out) == texts[1]
+
+    def test_build_parser_returns_a_fresh_tree(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+
+
+def quantum_oracle(name: str) -> tuple:
+    logic = load_corpus(name)
+    rules = derive_rules(summarize_states(logic), logic)
+    return logic, rules, EntangledPair(logic.dimension)
+
+
+class TestQuantumRows:
+    """``quantum --json`` rows, which the golden table skips, against
+    ``dataclasses.asdict`` of the library's rows."""
+
+    @pytest.mark.parametrize("name", CORPUS_FILES)
+    def test_rows_match_the_report(self, capsys, name):
+        logic, rules, pair = quantum_oracle(name)
+        code, out, err = run_cli(capsys, "quantum", "--json", path_of(name))
+        try:
+            expected = [dataclasses.asdict(r) for r in falsification_report(logic, rules, pair)]
+        except LogicError:
+            assert code == 2 and out == ""
+            return
+        assert (code, err) == (0, "")
+        assert json.loads(out)["reports"][0]["rows"] == json.loads(json.dumps(expected))
+
+    def test_pair_matches_the_report(self, capsys):
+        logic, rules, pair = quantum_oracle("gamma1.gls")
+        prediction = joint_probability(pair, logic.ray_of("K"), logic.ray_of("E"))
+        probs = {
+            "prob_both": prediction.prob_both,
+            "marginal_left": prediction.marginal_left,
+            "marginal_right": prediction.marginal_right,
+        }
+        expected = {"file": path_of("gamma1.gls")}
+        expected.update(dataclasses.asdict(confront(rules, "K", "E", **probs)), **probs)
+        code, out, err = run_cli(capsys, "quantum", "--pair", "K,E", "--json", path_of("gamma1.gls"))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["reports"][0] == json.loads(json.dumps(expected))
+
+
 def write_triad_chain(tmp_path_factory, k: int) -> str:
     """k three-atom contexts in dimension 3, each sharing one atom with the next."""
     lines = ["dim 3"]
@@ -582,6 +678,14 @@ def pair_chain(tmp_path_factory) -> str:
     lines += [f"context c{i} L{i} L{i + 1}" for i in range(k)]
     path = tmp_path_factory.mktemp("deep") / "pairs.gls"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def huge_dimension(tmp_path) -> str:
+    """No atoms, in a dimension far beyond any index or array size."""
+    path = tmp_path / "huge.gls"
+    path.write_text(f"dim {10**30}\n", encoding="utf-8")
     return str(path)
 
 
@@ -623,6 +727,22 @@ class TestDeepInputs:
         code, out, err = run_cli(capsys, "collapse", str(path))
         assert (code, err) == (0, "")
         assert out == f"identify y = z (witness: {', '.join(sorted(shared))})\n"
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("collapse",), "no forced identifications\n"),
+            (("quantum",), "0 of 0 rules violated\n"),
+        ],
+        ids=["collapse", "quantum"],
+    )
+    def test_huge_dimension_without_atoms(self, capsys, huge_dimension, argv, expected):
+        assert run_cli(capsys, *argv, huge_dimension) == (0, expected, "")
+
+    def test_quantum_json_on_a_huge_dimension_without_atoms(self, capsys, huge_dimension):
+        code, out, err = run_cli(capsys, "quantum", "--json", huge_dimension)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["reports"][0]["rows"] == []
 
     @pytest.mark.parametrize(
         "argv, expected",

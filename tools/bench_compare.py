@@ -11,7 +11,8 @@ document gives the seeds, each side's ``env``, and for every end-to-end
 metric of ``BENCHMARK.json`` each side's values, median and quartiles, the
 declared bound, and in how many seed pairs the after side is better.  It
 also says whether every op's output digests matched seed by seed.  It
-computes nothing that the records do not hold.
+computes nothing that the records do not hold.  ``--oneshot`` adds the
+document ``tools/oneshot_compare.py`` wrote, unchanged, under ``"oneshot"``.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--after-commit", required=True)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--command", action="append", default=[])
+    parser.add_argument("--oneshot", type=Path, help="a tools/oneshot_compare.py document")
     args = parser.parse_args(argv)
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
@@ -86,6 +88,8 @@ def main(argv: list[str] | None = None) -> int:
             for workload in sorted(set(before) & set(after))
         },
     }
+    if args.oneshot:
+        document["oneshot"] = json.loads(args.oneshot.read_text(encoding="utf-8"))
     args.out.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
