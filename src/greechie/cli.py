@@ -6,15 +6,15 @@ parity obstruction, forced collapses, quantum violations), 2 on usage or
 parse errors.
 
 Output is byte-deterministic: fixed orderings everywhere, JSON with sorted
-keys, probabilities printed with nine decimals in text mode.
+keys (``_json_text``), probabilities printed with nine decimals in text mode.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import INFINITY, encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -289,6 +289,77 @@ _parser = functools.cache(build_parser)
 
 
 # --------------------------------------------------------------------------
+# JSON writer
+# --------------------------------------------------------------------------
+
+def _json_text(payload: dict) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, for str
+    keys and dict, list, tuple, str, int, float, bool and None values.
+
+    With ``indent`` set the stdlib falls back to its pure-Python encoder; this
+    writer encodes strings in C, writes scalars inline by the same rules and
+    joins its chunks once.
+    """
+    chunks: list[str] = []
+    _write_json(payload, chunks, "\n")
+    return "".join(chunks)
+
+
+def _write_json(value: Any, chunks: list[str], newline: str) -> None:
+    """Append ``value`` to ``chunks``; ``newline`` starts a line at its depth."""
+    if isinstance(value, str):
+        chunks.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            chunks.append("{}")
+            return
+        inner = newline + "  "
+        separator, opening = "," + inner, "{" + inner
+        for key, item in sorted(value.items()):
+            chunks.append(opening)
+            chunks.append(encode_basestring_ascii(key))
+            chunks.append(": ")
+            _write_json(item, chunks, inner)
+            opening = separator
+        chunks.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            chunks.append("[]")
+            return
+        inner = newline + "  "
+        separator, opening = "," + inner, "[" + inner
+        for item in value:
+            # A string item is one chunk: no call, and half the chunks on a
+            # state list, which keeps the peak at the stdlib's.
+            if isinstance(item, str):
+                chunks.append(opening + encode_basestring_ascii(item))
+            else:
+                chunks.append(opening)
+                _write_json(item, chunks, inner)
+            opening = separator
+        chunks.append(newline + "]")
+    elif value is None:
+        chunks.append("null")
+    elif value is True:
+        chunks.append("true")
+    elif value is False:
+        chunks.append("false")
+    elif isinstance(value, int):
+        chunks.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            chunks.append("NaN")
+        elif value == INFINITY:
+            chunks.append("Infinity")
+        elif value == -INFINITY:
+            chunks.append("-Infinity")
+        else:
+            chunks.append(float.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# --------------------------------------------------------------------------
 # driver
 # --------------------------------------------------------------------------
 
@@ -343,7 +414,7 @@ def _run_file_command(args: argparse.Namespace) -> int:
             "reports": reports,
             "summary": {"files": len(args.files), "negative_findings": negatives},
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload) + "\n"
     else:
         text = "\n".join(blocks) + "\n"
     _emit(text, args.out)

@@ -51,30 +51,38 @@ class GlsParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-def _tokenize_line(raw: str) -> list[tuple[str, int]]:
-    """Split one line into (token, 1-based column) pairs, dropping comments.
+def _pieces(raw: str) -> list[str]:
+    """Split one line at every separator, dropping its comment.
 
-    Tabs and carriage returns separate tokens like spaces, so no label can
-    hold a CR that the canonical writer would turn into a line ending.
+    Tokens are the nonempty pieces; a run of separators leaves empty ones, so
+    the pieces also give each token's column.  Tabs and carriage returns
+    separate tokens like spaces, so no label can hold a CR that the canonical
+    writer would turn into a line ending.
     """
     if "#" in raw:
         raw = raw[: raw.index("#")]
-    out: list[tuple[str, int]] = []
-    col = 1
-    for piece in raw.replace("\t", " ").replace("\r", " ").split(" "):
+    return raw.replace("\t", " ").replace("\r", " ").split(" ")
+
+
+def _column(raw: str, index: int) -> int:
+    """1-based column of the index-th token of a line; only faults need it."""
+    column = 1
+    for piece in _pieces(raw):
         if piece:
-            out.append((piece, col))
-        col += len(piece) + 1
-    return out
+            if not index:
+                break
+            index -= 1
+        column += len(piece) + 1
+    return column
 
 
-def _parse_dimension(value: str, lineno: int, col: int) -> int:
+def _parse_dimension(value: str) -> int:
     try:
         if value.isascii() and value.isdigit():
             return int(value)
     except ValueError:  # more digits than int() converts
         pass
-    raise GlsParseError(f"dimension must be a positive integer, got {quote_token(value)}", lineno, col)
+    raise ValueError(f"dimension must be a positive integer, got {quote_token(value)}")
 
 
 def parse_logic(text: str) -> Logic:
@@ -90,50 +98,63 @@ def parse_logic(text: str) -> Logic:
     contexts: list[Context] = []
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        tokens = _tokenize_line(raw)
+        tokens = list(filter(None, _pieces(raw)))
         if not tokens:
             continue
-        keyword, kw_col = tokens[0]
+        keyword = tokens[0]
         try:
             if keyword == "dim":
                 if checker is not None:
-                    raise GlsParseError("duplicate dim declaration", lineno, kw_col)
+                    raise GlsParseError("duplicate dim declaration", lineno, _column(raw, 0))
                 if len(tokens) != 2:
-                    raise GlsParseError("expected: dim <integer>", lineno, kw_col)
-                value, col = tokens[1]
-                checker = LogicChecker(_parse_dimension(value, lineno, col))
+                    raise GlsParseError("expected: dim <integer>", lineno, _column(raw, 0))
+                try:
+                    dimension = _parse_dimension(tokens[1])
+                except ValueError as exc:
+                    raise GlsParseError(str(exc), lineno, _column(raw, 1)) from None
+                checker = LogicChecker(dimension)
 
             elif keyword == "atom":
                 if checker is None:
-                    raise GlsParseError("dim must be declared before atoms", lineno, kw_col)
+                    raise GlsParseError(
+                        "dim must be declared before atoms", lineno, _column(raw, 0)
+                    )
                 if len(tokens) < 2:
-                    raise GlsParseError("expected: atom <label> [components...]", lineno, kw_col)
+                    raise GlsParseError(
+                        "expected: atom <label> [components...]", lineno, _column(raw, 0)
+                    )
                 values = []
-                for tok, col in tokens[2:]:
-                    try:
-                        values.append(parse_quad(tok))
-                    except ValueError as exc:
-                        raise GlsParseError(str(exc), lineno, col) from None
-                atom = Atom(tokens[1][0], Ray(tuple(values)) if values else None)
+                try:
+                    for token in tokens[2:]:
+                        values.append(parse_quad(token))
+                except ValueError as exc:
+                    raise GlsParseError(str(exc), lineno, _column(raw, len(values) + 2)) from None
+                atom = Atom(tokens[1], Ray(tuple(values)) if values else None)
                 checker.atom(atom)
                 atoms.append(atom)
 
             elif keyword == "context":
                 if checker is None:
-                    raise GlsParseError("dim must be declared before contexts", lineno, kw_col)
+                    raise GlsParseError(
+                        "dim must be declared before contexts", lineno, _column(raw, 0)
+                    )
                 if len(tokens) < 2:
-                    raise GlsParseError("expected: context <label> <member>...", lineno, kw_col)
-                context = Context(tokens[1][0], tuple(m for m, _ in tokens[2:]))
+                    raise GlsParseError(
+                        "expected: context <label> <member>...", lineno, _column(raw, 0)
+                    )
+                context = Context(tokens[1], tuple(tokens[2:]))
                 checker.context(context)
                 contexts.append(context)
 
             else:
-                raise GlsParseError(f"unknown keyword {quote_token(keyword)}", lineno, kw_col)
+                raise GlsParseError(
+                    f"unknown keyword {quote_token(keyword)}", lineno, _column(raw, 0)
+                )
         except LogicError as exc:
             # The checker names the token; Ray's own fault (the zero ray) has
             # none and lies in the components.
             token = 1 if exc.token is None else exc.token
-            raise GlsParseError(str(exc), lineno, tokens[token + 1][1]) from None
+            raise GlsParseError(str(exc), lineno, _column(raw, token + 1)) from None
 
     last_line = text.count("\n") + 1
     if checker is None:

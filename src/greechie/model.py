@@ -227,19 +227,30 @@ class Ray:
     @cached_property
     def ints(self) -> tuple[tuple[int, int], ...]:
         """The components times their denominators' lcm, as ints (a, b): a + b*sqrt(2)."""
-        scale = math.lcm(*(f.denominator for c in self.components for f in (c.rat, c.coef2)))
-        return tuple((c.rat.numerator * scale // c.rat.denominator,
-                      c.coef2.numerator * scale // c.coef2.denominator) for c in self.components)
+        ratios = []
+        for c in self.components:
+            ratios.append(c.rat.as_integer_ratio())
+            ratios.append(c.coef2.as_integer_ratio())
+        scale = math.lcm(*[d for _, d in ratios])
+        flat = [n * (scale // d) for n, d in ratios]
+        return tuple(zip(flat[::2], flat[1::2]))
 
     @cached_property
     def key(self) -> tuple[int, ...]:
         """Canonical projective form, 2d ints (a1, b1, ..., ad, bd): ``ints`` times the
         conjugate p - q*sqrt(2) of its lead p + q*sqrt(2), which makes the lead rational,
         over the gcd, lead positive.  Collinear rays, and only they, have equal keys."""
-        p, q = next(c for c in self.ints if c != (0, 0))
-        flat = [x for a, b in self.ints for x in (a * p - 2 * b * q, b * p - a * q)]
-        g = math.gcd(*flat) if next(x for x in flat if x) > 0 else -math.gcd(*flat)
-        return tuple(x // g for x in flat)
+        ints = self.ints
+        for p, q in ints:
+            if p or q:
+                break
+        flat = []
+        for a, b in ints:
+            flat.append(a * p - 2 * b * q)
+            flat.append(b * p - a * q)
+        # The first nonzero entry is the lead's norm p*p - 2*q*q, never zero.
+        g = math.gcd(*flat) if p * p > 2 * q * q else -math.gcd(*flat)
+        return tuple([x // g for x in flat])
 
 
 def inner_product(r: Ray, s: Ray) -> Quad:
@@ -338,20 +349,22 @@ class LogicChecker:
                 f"more than dimension {self.dimension}",
                 token=1,
             )
-        members: set[str] = set()
-        for k, m in enumerate(c.members, start=1):
-            if m not in self._used:
-                raise LogicError(
-                    f"context {quote_token(c.label)} member {quote_token(m)} "
-                    "is not a declared atom",
-                    token=k,
-                )
-            if m in members:
-                raise LogicError(
-                    f"context {quote_token(c.label)} repeats member {quote_token(m)}", token=k
-                )
-            members.add(m)
-        key = frozenset(members)
+        key = frozenset(c.members)
+        if len(key) != len(c.members) or not self._used.keys() >= key:
+            seen: set[str] = set()
+            for k, m in enumerate(c.members, start=1):
+                if m not in self._used:
+                    raise LogicError(
+                        f"context {quote_token(c.label)} member {quote_token(m)} "
+                        "is not a declared atom",
+                        token=k,
+                    )
+                if m in seen:
+                    raise LogicError(
+                        f"context {quote_token(c.label)} repeats member {quote_token(m)}",
+                        token=k,
+                    )
+                seen.add(m)
         if key in self._member_sets:
             other = self._member_sets[key]
             raise LogicError(
@@ -361,7 +374,7 @@ class LogicChecker:
             )
         self._contexts.add(c.label)
         self._member_sets[key] = c.label
-        self._used.update(dict.fromkeys(members, True))
+        self._used.update(dict.fromkeys(key, True))
 
     def finish(self) -> None:
         for label, used in self._used.items():

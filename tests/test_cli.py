@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy
 import pytest
 
 from greechie import cli
@@ -639,6 +641,80 @@ class TestQuantumRows:
         code, out, err = run_cli(capsys, "quantum", "--pair", "K,E", "--json", path_of("gamma1.gls"))
         assert (code, err) == (0, "")
         assert json.loads(out)["reports"][0] == json.loads(json.dumps(expected))
+
+
+_JSON_CHARS = "aZ09 _-'é日😀\"\\/\n\r\t\x00\x1f\x7f\u2028\ud800"
+_JSON_FLOATS = (
+    0.0, -0.0, 1e-10, 1e300, -1e300, 5e-324, 0.1, 1 / 3, 2.5, 1e16,
+    float("nan"), float("inf"), float("-inf"),
+)
+
+
+def _json_scalar(rng: random.Random):
+    kind = rng.randrange(7)
+    if kind == 0:
+        return "".join(rng.choices(_JSON_CHARS, k=rng.randrange(6)))
+    if kind == 1:
+        return rng.choice((None, True, False))
+    if kind == 2:
+        return rng.choice((0, -1, 7, 2**63, -(10**30), 3**90, rng.randrange(-1000, 1000)))
+    if kind == 3:
+        return rng.choice(_JSON_FLOATS + (rng.uniform(-1, 1), rng.gauss(0, 1e6)))
+    if kind == 4:
+        return numpy.float64(rng.choice(_JSON_FLOATS + (rng.random(),)))
+    return "".join(rng.choices("01", k=rng.randrange(1, 12)))
+
+
+def _json_document(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(5) if depth < 4 else 4
+    size = rng.choice((0, 1, 2, 3, 5))
+    if kind == 0:
+        return {
+            "".join(rng.choices(_JSON_CHARS, k=rng.randrange(4))): _json_document(rng, depth + 1)
+            for _ in range(size)
+        }
+    if kind in (1, 2):
+        items = [_json_document(rng, depth + 1) for _ in range(size)]
+        return items if kind == 1 else tuple(items)
+    return _json_scalar(rng)
+
+
+class TestJsonWriter:
+    """``cli._json_text`` against ``json.dumps(..., indent=2, sort_keys=True)``."""
+
+    def test_seeded_documents(self):
+        rng = random.Random(2007)
+        for _ in range(600):
+            doc = {"reports": [_json_document(rng)], "summary": _json_document(rng)}
+            assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [{1, 2}, numpy.bool_(True), b"bytes", object()])
+    def test_rejects_what_json_rejects(self, value):
+        with pytest.raises(TypeError):
+            json.dumps({"a": value})
+        with pytest.raises(TypeError):
+            cli._json_text({"a": value})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("quantum", "--json", path_of(name)) for name in CORPUS_FILES]
+        + [("quantum", "--json", "--pair", "K,E", path_of("gamma1.gls"))],
+    )
+    def test_quantum_reports_match_the_stdlib(self, capsys, monkeypatch, argv):
+        payloads = []
+        write = cli._json_text
+
+        def spy(payload):
+            payloads.append(payload)
+            return write(payload)
+
+        monkeypatch.setattr(cli, "_json_text", spy)
+        code, out, _ = run_cli(capsys, *argv)
+        if code == 2:  # an abstract corpus file has no rays to confront
+            assert payloads == []
+            return
+        assert len(payloads) == 1
+        assert out == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n"
 
 
 def write_triad_chain(tmp_path_factory, k: int) -> str:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -394,3 +398,99 @@ class TestByteOrderMark:
             faults.append((err.value.line, err.value.column, err.value.message))
         assert faults[0] == faults[1]
         assert "\ufeff" not in faults[1][2]
+
+
+# Seeded malformed files for pinning every fault position.  Each file is a
+# valid head with one or two faulty lines mixed in, written with the
+# separators and line ends above, optional indentation and comment lines.
+_BAD_COMPONENTS = ("r3", "1/0", "1r2r2", "+", "x9", "2+", "1+1r2+1", "½", "k" * 30, "1--r2")
+_BAD_DIMS = ("three", "-3", "2", "0", "³", "9" * 5000, "3.0", "0x3", "")
+_BAD_KEYWORDS = ("vertex", "Atom", "ctx", "dim3", "k" * 25, "ätom")
+_LABELS = ("A", "B", "C", "D", "E", "F", "GG", "h1", "x" * 24)
+_UNDECLARED = ("Q", "zz", "A_", "y" * 22)
+_FAULTS = (
+    "bad_component", "bad_dim", "unknown_keyword", "unknown_member", "repeated_member",
+    "misplaced_dim", "zero_ray", "mixed_members", "duplicate_label", "wrong_count",
+)
+
+
+def _ray_words(index: int, dim: int) -> list[str]:
+    if index < dim:
+        ray = ["0"] * dim
+        ray[index] = "1"
+    else:
+        ray = (["1", "1"] if index == dim else ["1", "-1", "r2"]) + ["0"] * dim
+    return ray[:dim]
+
+
+def _faulty_gls(rng: random.Random) -> str:
+    dim = rng.choice((3, 4))
+    labels = rng.sample(_LABELS, 5)
+    realized = rng.random() < 0.5
+    lines = [["dim", str(dim)]]
+    lines += [["atom", x, *(_ray_words(i, dim) if realized else [])] for i, x in enumerate(labels)]
+    lines += [["context", f"c{i}", *rng.sample(labels, rng.randint(2, dim))] for i in range(3)]
+    for _ in range(rng.randint(1, 2)):
+        fault = rng.choice(_FAULTS)
+        at = rng.randint(1, len(lines))
+        declared = [w[1] for w in lines[:at] if w[0] == "atom"] or ["A"]
+        if fault == "bad_component":
+            words = ["atom", "Z", *_ray_words(rng.randrange(dim), dim)]
+            words[2 + rng.randrange(dim)] = rng.choice(_BAD_COMPONENTS)
+        elif fault == "bad_dim":
+            lines[0] = ["dim", *([rng.choice(_BAD_DIMS)] if rng.random() < 0.8 else ["3", "4"])]
+            continue
+        elif fault == "unknown_keyword":
+            words = [rng.choice(_BAD_KEYWORDS), rng.choice(labels)]
+        elif fault == "unknown_member":
+            unknown = [x for x in _UNDECLARED + tuple(labels) if x not in declared]
+            words = ["context", "u", rng.choice(declared), rng.choice(unknown)]
+        elif fault == "repeated_member":
+            member = rng.choice(declared)
+            words = ["context", "r", member, rng.choice(declared), member]
+        elif fault == "misplaced_dim":
+            if rng.random() < 0.5:
+                words = ["dim", str(rng.randint(3, 5))]
+            else:
+                lines.insert(0, lines.pop(rng.randint(1, 5)))
+                continue
+        elif fault == "zero_ray":
+            words = ["atom", "Z", *["0"] * dim]
+            words[2 + rng.randrange(dim)] = rng.choice(("-0", "0/7", "0r2", "0+0r2"))
+        elif fault == "mixed_members":
+            pool = list(declared) + list(_UNDECLARED[:2])
+            words = ["context", "m", *rng.choices(pool, k=rng.randint(1, dim + 1))]
+            if len(set(words)) == len(words) and set(words[2:]) <= set(declared):
+                words.append(words[2])
+        elif fault == "duplicate_label":
+            words = rng.choice((["atom", rng.choice(declared)], ["context", "c0", *labels[:2]]))
+        else:
+            words = ["atom", "W", *["1"] * rng.choice((1, 2, dim + 1))]
+        lines.insert(at, words)
+    out = []
+    for number, words in enumerate(lines):
+        if rng.random() < 0.15:
+            out.append(rng.choice(("# note\n", "\n", " \t\r\n", "#\r\n")))
+        lead = rng.choice(("", "", "", " ", "\t", "  "))
+        ends = _LINE_ENDS if number == len(lines) - 1 else _LINE_ENDS[:-1]
+        out.append(lead + rng.choice(_SEPARATORS).join(words) + rng.choice(ends))
+    return "".join(out)
+
+
+# sha256 of the JSON list of every (line, column, message) below, recorded
+# with the parser that built (token, column) pairs for each line.
+_FAULT_DIGEST = "490b1628b887ceced68dfba4626fe6d213ff004d0a4df05a94f0b8c7aea56ff9"
+
+
+def test_parse_fault_positions_are_pinned():
+    rng = random.Random(20070101)
+    faults = []
+    for _ in range(1200):
+        text = _faulty_gls(rng)
+        with pytest.raises(GlsParseError) as err:
+            parse_logic(text)
+        faults.append([err.value.line, err.value.column, err.value.message])
+    messages = {message.split(" ")[0] for _, _, message in faults}
+    assert len(messages) >= 8, messages
+    digest = hashlib.sha256(json.dumps(faults).encode("utf-8")).hexdigest()
+    assert digest == _FAULT_DIGEST

@@ -35,12 +35,23 @@ def records(directory: Path) -> dict[str, dict[int, dict]]:
 
 
 def spread(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    """Median and quartiles; a single value is its own median and quartiles."""
+    if len(values) == 1:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def compare(before: dict[int, dict], after: dict[int, dict], declared: list[dict]) -> dict:
+def compare(
+    workload: str, before: dict[int, dict], after: dict[int, dict], declared: list[dict]
+) -> dict:
     seeds = sorted(set(before) & set(after))
+    if not seeds:
+        raise SystemExit(
+            f"{workload}: no seed ran on both sides "
+            f"(before: {sorted(before)}, after: {sorted(after)})"
+        )
     metrics = {}
     for metric in declared:
         name = metric["name"]
@@ -84,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
         "after": args.after_commit,
         "commands": args.command,
         "workloads": {
-            workload: compare(before[workload], after[workload], declared)
+            workload: compare(workload, before[workload], after[workload], declared)
             for workload in sorted(set(before) & set(after))
         },
     }
