@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .model import (
@@ -223,8 +224,8 @@ class StateSpaceReport(StateSummary):
     @cached_property
     def bit_strings(self) -> tuple[str, ...]:
         """Each state as its bit string in ``labels`` order, as ``--list`` prints it."""
-        spec = f"0{len(self.labels)}b"
-        return tuple(format(code, spec) for code in self.codes)
+        top = 1 << len(self.labels)
+        return tuple([bin(code | top)[3:] for code in self.codes])
 
     @cached_property
     def states(self) -> tuple[TwoValuedState, ...]:
@@ -246,7 +247,10 @@ def enumerate_states(logic: Logic) -> StateSpaceReport:
     every combination of its subcomponents' codes.  The table lists
     children before parents, so one pass over it in that order lists each
     component once; it skips the components that no live branch from the
-    root reaches, whose states no state of the logic extends.
+    root reaches, whose states no state of the logic extends.  Each
+    component's codes are kept sorted, and a branch combines its parts
+    highest atoms first, so the products mostly come out as ascending runs
+    and the final sort, which is the guarantee, has little left to do.
     """
     solved, root = _search(logic)
     reached = {part for _, parts, _, _ in root[3] for part in parts}
@@ -259,14 +263,14 @@ def enumerate_states(logic: Logic) -> StateSpaceReport:
         codes: list[int] = []
         for forced, parts, _, _ in live:
             branch = [forced]
-            for part in parts:
+            for part in sorted(parts, key=itemgetter(1), reverse=True):
                 branch = [code | sub for code in branch for sub in listed[part]]
             codes += branch
         return codes
 
     for part, (_, _, _, live) in solved.items():
         if part in reached:
-            listed[part] = expand(live)
+            listed[part] = sorted(expand(live))
     codes = expand(root[3])
     codes.sort()
     labels = logic.labels

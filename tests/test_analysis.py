@@ -20,7 +20,7 @@ from greechie.analysis import (
     summarize_states,
     verify_realization,
 )
-from greechie.gls import CORPUS_FILES, load_corpus, serialize_logic
+from greechie.gls import CORPUS_FILES, load_corpus, parse_logic, serialize_logic
 from greechie.model import (
     AbstractLogicError,
     Atom,
@@ -295,6 +295,12 @@ class TestEnumerateStates:
         assert state.bit_string() == "001100"
         assert state.value("C") == 1
         assert state.value("A") == 0
+
+    def test_atom_free_logic_has_one_empty_state(self):
+        report = enumerate_states(parse_logic("dim 3\n"))
+        assert report.count == 1 and report.codes == (0,)
+        assert report.bit_strings == ("",)
+        assert report.states[0].bits == ()
 
     def test_single_context(self):
         logic = make_logic(

@@ -388,6 +388,18 @@ class TestJsonReports:
         assert report["count"] == 4
         assert report["states"] == ["001100", "010010", "010101", "100001"]
 
+    def test_atom_free_logic_lists_one_empty_state(self, capsys, schema, tmp_path):
+        path = tmp_path / "empty.gls"
+        path.write_text("dim 3\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "states", "--list", str(path))
+        assert code == 0
+        assert out == "count=1 empty=False unital=True separating=True\natoms: \n\n"
+        code, out, _ = run_cli(capsys, "states", "--list", "--json", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema)
+        assert payload["reports"][0]["states"] == [""]
+
     def test_states_json_omits_list_by_default(self, capsys, schema):
         _, out, _ = run_cli(capsys, "states", "--json", path_of("tight3.gls"))
         report = json.loads(out)["reports"][0]

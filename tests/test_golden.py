@@ -14,12 +14,14 @@ import hashlib
 import io
 import json
 import os
+import random
 from pathlib import Path
 
 import pytest
 
+from greechie.analysis import make_star
 from greechie.cli import main
-from greechie.gls import CORPUS_FILES, corpus_path
+from greechie.gls import CORPUS_FILES, corpus_path, serialize_logic
 
 TABLE = Path(__file__).with_name("golden_sha256.json")
 
@@ -48,10 +50,11 @@ def key(name: str, argv: tuple[str, ...]) -> str:
     return f"{name}: {' '.join(argv)}"
 
 
-def digest(name: str, argv: tuple[str, ...]) -> dict:
+def digest(name: str, argv: tuple[str, ...], directory: Path | None = None) -> dict:
+    """Run ``argv`` on ``name`` in ``directory``, the corpus directory by default."""
     out = io.StringIO()
     cwd = os.getcwd()
-    os.chdir(corpus_path(name).parent)
+    os.chdir(directory or corpus_path(name).parent)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main([*argv, name])
@@ -72,6 +75,44 @@ def test_table_covers_every_run(table):
 @pytest.mark.parametrize("name, argv", RUNS, ids=[key(n, a) for n, a in RUNS])
 def test_output_matches_golden_digest(table, name, argv):
     assert digest(name, argv) == table[key(name, argv)]
+
+
+# The corpus lists at most star4's 108 states, so the full listings of
+# make_star(5) (1 280 states) and make_star(6) (18 750) are pinned here too,
+# each in make_star's declaration order and in one seeded shuffle of it: the
+# search, and so the order the listing is built in, follows the declaration
+# order, but the output does not.
+LARGE_LISTINGS = {
+    "star5: states --list": "b9d5e334fdd37cf30b0b7be8d1e6269e6b54ef671b4da4efc263e278710fd51d",
+    "star5: states --list --json": "ab5446e821ca3c5390809e67a315dba9246f9771ae79faee54b7ca7217399e2c",
+    "star6: states --list": "f8ee212fbb49e9d13464f0ffc3597989aa3402437d67ff5e015d359e0e55cb53",
+    "star6: states --list --json": "afd5b1b4df8c00785c576022e8649d986f2566de5bd96ba2da030bee60c486b3",
+}
+
+
+def star_text(d: int, shuffled: bool) -> str:
+    """make_star(d) as .gls text, its atom and context lines shuffled if asked."""
+    text = serialize_logic(make_star(d))
+    if not shuffled:
+        return text
+    lines = text.splitlines()
+    atoms = [line for line in lines if line.startswith("atom ")]
+    contexts = [line for line in lines if line.startswith("context ")]
+    rng = random.Random(2718)
+    rng.shuffle(atoms)
+    rng.shuffle(contexts)
+    return "\n".join([lines[0], *atoms, *contexts]) + "\n"
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["make_star", "shuffled"])
+@pytest.mark.parametrize("run", sorted(LARGE_LISTINGS))
+def test_large_listing_matches_pinned_digest(tmp_path, run, shuffled):
+    star, command = run.split(": ")
+    name = f"{star}.gls"
+    (tmp_path / name).write_text(star_text(int(star[4:]), shuffled), encoding="utf-8")
+    assert digest(name, tuple(command.split()), tmp_path) == {
+        "exit": 0, "sha256": LARGE_LISTINGS[run]
+    }
 
 
 if __name__ == "__main__":
