@@ -308,6 +308,8 @@ class LogicChecker:
     Declare each atom before any context that names it, then call
     :meth:`finish`.  Each declaration raises LogicError, with ``token`` set,
     on the first rule it breaks; ``finish`` reports an atom in no context.
+    ``check_logic`` decides the same rules for a whole logic at once; this
+    walk runs only to name the first fault.
     """
 
     def __init__(self, dimension: int) -> None:
@@ -382,15 +384,44 @@ class LogicChecker:
                 raise LogicError(f"atom {quote_token(label)} occurs in no context")
 
 
+def check_logic(logic: Logic) -> bool:
+    """Whether ``logic`` keeps every rule of LogicChecker, decided with whole-logic sets.
+
+    True exactly when ``Logic.validate`` would raise nothing.  It names no
+    fault: callers that get False walk the declarations with LogicChecker.
+    """
+    dimension, atoms, contexts = logic.dimension, logic.atoms, logic.contexts
+    labels = {a.label for a in atoms}
+    if dimension < 3 or len(labels) != len(atoms):
+        return False
+    rays = [a.ray for a in atoms if a.ray is not None]
+    if any(len(r) != dimension for r in rays) or len({r.key for r in rays}) != len(rays):
+        return False
+    if len({c.label for c in contexts}) != len(contexts):
+        return False
+    members = [c.members for c in contexts]
+    sizes = list(map(len, members))
+    if sizes and (min(sizes) < 2 or max(sizes) > dimension):
+        return False
+    member_sets = list(map(frozenset, members))
+    # Equal totals mean no context repeats a member; the union of the member
+    # sets is the declared labels when every member is declared and every atom used.
+    return (
+        sum(map(len, member_sets)) == sum(sizes)
+        and len(set(member_sets)) == len(member_sets)
+        and labels == set().union(*member_sets)
+    )
+
+
 @dataclass(frozen=True)
 class Logic:
     """A finite pasting of contexts over a shared atom set.
 
     Construction does not validate; call :meth:`validate` to enforce the
-    structural invariants (the parser applies the same LogicChecker).  Geometric soundness of a
-    realization -- pairwise orthogonality inside every context -- is checked
-    by ``analysis.verify_realization``, which reports rather than raises, so
-    that broken realizations can be examined.
+    structural invariants of LogicChecker, which the parser enforces too.
+    Geometric soundness of a realization -- pairwise orthogonality inside
+    every context -- is checked by ``analysis.verify_realization``, which
+    reports rather than raises, so that broken realizations can be examined.
     """
 
     dimension: int
@@ -437,7 +468,13 @@ class Logic:
         return all(a.ray is not None for a in self.atoms)
 
     def validate(self) -> None:
-        """Raise LogicError on the first structural violation, atoms first."""
+        """Raise LogicError on the first structural violation, atoms first.
+
+        ``check_logic`` decides in bulk; LogicChecker walks the declarations
+        only to name the fault.
+        """
+        if check_logic(self):
+            return
         checker = LogicChecker(self.dimension)
         for a in self.atoms:
             checker.atom(a)

@@ -493,6 +493,21 @@ def with_random_rays(logic: Logic, rng: random.Random) -> Logic:
     )
 
 
+def with_distinct_rays(logic: Logic, rng: random.Random, share: float = 1.0) -> Logic:
+    """The same atoms and contexts, each atom given, with probability ``share``,
+    a random Q(sqrt 2) ray collinear with no other atom's ray."""
+    keys: set[tuple[int, ...]] = set()
+    atoms = []
+    for a in logic.atoms:
+        ray = None
+        if rng.random() < share:
+            while ray is None or ray.key in keys:
+                ray = build_random_quad_ray(rng, logic.dimension)
+            keys.add(ray.key)
+        atoms.append(Atom(a.label, ray))
+    return Logic(logic.dimension, tuple(atoms), logic.contexts)
+
+
 # --------------------------------------------------------------------------
 # fixture wrappers handing the helpers to tests
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import random
@@ -9,6 +10,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import build_random_logic, with_distinct_rays
+from greechie import gls
+from greechie.analysis import make_star
 from greechie.gls import (
     CORPUS_FILES,
     GlsParseError,
@@ -18,7 +22,7 @@ from greechie.gls import (
     parse_logic,
     serialize_logic,
 )
-from greechie.model import parse_quad
+from greechie.model import Logic, parse_quad
 
 
 class TestParseBasics:
@@ -293,6 +297,100 @@ def test_fuzzed_text_parses_or_raises_parse_error(text):
     assert (again.dimension, again.contexts) == (logic.dimension, logic.contexts)
     assert sorted(again.atoms, key=lambda a: a.label) == sorted(logic.atoms, key=lambda a: a.label)
     assert serialize_logic(again) == canonical
+
+
+def _chain_text(k: int) -> str:
+    """k three-atom contexts, each sharing one atom with the next, atom lines first."""
+    lines = ["dim 3"]
+    lines += [f"atom L{i}" for i in range(k + 1)]
+    lines += [f"atom M{i}" for i in range(k)]
+    lines += [f"context c{i} L{i} M{i} L{i + 1}" for i in range(k)]
+    return "\n".join(lines) + "\n"
+
+
+def _noisy(text: str) -> str:
+    """The same declarations with comments, tabs, runs of spaces and CRLF line ends."""
+    lines = ["# a comment line", ""]
+    for number, line in enumerate(text.splitlines()):
+        end = " # note\r" if number % 3 else "\r"
+        lines.append((" \t" if number % 2 else "") + line.replace(" ", "\t  ") + end)
+    return "\n".join(lines) + "\n"
+
+
+@contextlib.contextmanager
+def counted_walks():
+    """Counts the entries into parse_logic's per-declaration walk."""
+    entries: list[int] = []
+    walk = gls._walk
+    gls._walk = lambda lines: entries.append(1) or walk(lines)
+    try:
+        yield entries
+    finally:
+        gls._walk = walk
+
+
+class TestBulkPath:
+    """Well-formed files are read in one pass and checked in bulk, never walked."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            *(pytest.param(lambda n=n: corpus_path(n).read_text(encoding="utf-8"), id=n)
+              for n in CORPUS_FILES),
+            *(pytest.param(lambda d=d: serialize_logic(make_star(d)), id=f"star{d}")
+              for d in range(3, 9)),
+            pytest.param(lambda: _chain_text(400), id="chain400"),
+            pytest.param(lambda: _chain_text(1500), id="chain1500"),
+        ],
+    )
+    def test_valid_file_is_not_walked(self, text):
+        text = text()
+        with counted_walks() as walks:
+            canonical = serialize_logic(parse_logic(text))
+            assert serialize_logic(parse_logic(canonical)) == canonical
+        assert walks == []
+
+    def test_noisy_variant_parses_like_the_original(self, gamma1):
+        with counted_walks() as walks:
+            assert parse_logic(_noisy(serialize_logic(gamma1))) == gamma1
+        assert walks == []
+
+    def test_fault_is_walked(self):
+        with counted_walks() as walks, pytest.raises(GlsParseError):
+            parse_logic("dim 3\natom A\natom B\ncontext a A B Z\n")
+        assert walks == [1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(0, 2**32), st.booleans())
+def test_interleaved_atoms_parse_through_the_walk(seed, realized):
+    """Atom lines among context lines, each atom before its first use."""
+    rng = random.Random(seed)
+    logic = build_random_logic(rng, max_atoms=12)
+    if realized:
+        logic = with_distinct_rays(logic, rng)
+    canonical = serialize_logic(logic).splitlines()
+    atom_lines = {line.split(" ")[1]: line for line in canonical if line.startswith("atom ")}
+    context_lines = [line for line in canonical if line.startswith("context ")]
+    lines, order = [canonical[0]], []
+    for line, context in zip(context_lines, logic.contexts):
+        for member in context.members:
+            if member in atom_lines:
+                order.append(member)
+                lines.append(atom_lines.pop(member))
+        lines.append(line)
+    assert not atom_lines
+    text = "\n".join(lines) + "\n"
+
+    with counted_walks() as walked:
+        parsed = parse_logic(text)
+    first_context = next(i for i, line in enumerate(lines) if line.startswith("context "))
+    interleaved = any(line.startswith("atom ") for line in lines[first_context:])
+    assert walked == ([1] if interleaved else [])
+    assert parsed == Logic(logic.dimension, tuple(logic.atom(x) for x in order), logic.contexts)
+    again = parse_logic(serialize_logic(parsed))
+    assert (again.dimension, again.contexts) == (parsed.dimension, parsed.contexts)
+    assert again.atoms == tuple(sorted(parsed.atoms, key=lambda a: a.label))
 
 
 class TestSerialization:

@@ -6,8 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import build_random_logic, build_random_quad_ray, with_distinct_rays
 from greechie.model import (
     ONE,
     ROOT2,
@@ -15,6 +16,7 @@ from greechie.model import (
     Atom,
     Context,
     Logic,
+    LogicChecker,
     LogicError,
     Quad,
     Ray,
@@ -26,6 +28,7 @@ from greechie.model import (
     parse_quad,
     rays_collinear,
     _spreadsheet_label,
+    check_logic,
 )
 
 
@@ -470,3 +473,90 @@ def test_spreadsheet_labels():
     assert _spreadsheet_label(26) == "aa"
     assert _spreadsheet_label(27) == "ab"
     assert _spreadsheet_label(26 * 27) == "aaa"
+
+
+# Each mutation breaks one structural rule of LogicChecker, or tries to; the
+# bulk check must agree with the walk whether or not the rule ends up broken.
+def _mutate(logic: Logic, rng: random.Random, how: str) -> Logic:
+    dim, atoms, contexts = logic.dimension, list(logic.atoms), list(logic.contexts)
+    labels = [a.label for a in atoms]
+    pick = rng.randrange(len(contexts))
+    members = list(contexts[pick].members)
+    if how == "small_dimension":
+        dim = rng.choice((0, 1, 2))
+    elif how == "duplicate_atom_label":
+        atoms.insert(rng.randint(0, len(atoms)), Atom(rng.choice(labels), atoms[0].ray))
+    elif how == "ray_length":
+        i = rng.randrange(len(atoms))
+        atoms[i] = Atom(labels[i], build_random_quad_ray(rng, rng.choice((1, dim - 1, dim + 1))))
+    elif how == "collinear_rays":
+        i, j = rng.sample(range(len(atoms)), 2)
+        ray = atoms[j].ray or build_random_quad_ray(rng, dim)
+        scale = Quad(Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 7))), rng.randint(-2, 2))
+        scaled = Ray(tuple(c * scale for c in ray.components))
+        atoms[i], atoms[j] = Atom(labels[i], scaled), Atom(labels[j], ray)
+    elif how == "duplicate_context_label":
+        extra = rng.sample(labels, rng.randint(2, min(dim, len(labels))))
+        contexts.insert(rng.randint(0, len(contexts)), Context(contexts[pick].label, extra))
+    elif how == "too_few_members":
+        contexts[pick] = Context(contexts[pick].label, members[: rng.randint(0, 1)])
+    elif how == "too_many_members":
+        extra = [x for x in labels if x not in members]
+        contexts[pick] = Context(contexts[pick].label, members + extra[: dim + 1 - len(members)])
+    elif how == "repeated_member":
+        i, j = rng.sample(range(len(members)), 2)
+        members[i] = members[j]
+        contexts[pick] = Context(contexts[pick].label, members)
+    elif how == "same_member_set":
+        rng.shuffle(members)
+        contexts.insert(rng.randint(0, len(contexts)), Context("dup", members))
+    elif how == "unused_atom":
+        atoms.insert(rng.randint(0, len(atoms)), Atom("unused"))
+    elif how == "undeclared_member":
+        members[rng.randrange(len(members))] = "nowhere"
+        contexts[pick] = Context(contexts[pick].label, members)
+    elif how == "dropped_atom":
+        del atoms[rng.randrange(len(atoms))]
+    return Logic(dim, tuple(atoms), tuple(contexts))
+
+
+_MUTATIONS = (
+    "none", "small_dimension", "duplicate_atom_label", "ray_length", "collinear_rays",
+    "duplicate_context_label", "too_few_members", "too_many_members", "repeated_member",
+    "same_member_set", "unused_atom", "undeclared_member", "dropped_atom",
+)
+
+
+def _walk_accepts(logic: Logic) -> bool:
+    """Logic.validate as a LogicChecker walk over every declaration."""
+    try:
+        checker = LogicChecker(logic.dimension)
+        for a in logic.atoms:
+            checker.atom(a)
+        for c in logic.contexts:
+            checker.context(c)
+        checker.finish()
+    except LogicError:
+        return False
+    return True
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from((0.0, 0.5, 1.0)),  # share of atoms with a ray: abstract, mixed, realized
+    st.sampled_from(_MUTATIONS),
+)
+def test_bulk_check_agrees_with_the_walk(seed, share, how):
+    rng = random.Random(seed)
+    logic = with_distinct_rays(build_random_logic(rng, max_atoms=10), rng, share)
+    mutated = _mutate(logic, rng, how)
+    expected = _walk_accepts(mutated)
+    assert check_logic(mutated) is expected
+    if how == "none":
+        assert expected
+    if expected:
+        mutated.validate()
+    else:
+        with pytest.raises(LogicError):
+            mutated.validate()
