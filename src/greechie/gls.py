@@ -13,10 +13,12 @@ of ``model.parse_quad`` ("1", "-3", "r2", "1/2r2", "1+1r2", ...).  Abstract
 logics (atoms without rays) are legal; operations that need rays refuse to run
 on them with a clear error.
 
-``parse_logic`` reads a file in one pass and checks the whole logic in bulk
-with ``model.check_logic``.  Only on a fault does it walk the declarations
-one at a time with ``model.LogicChecker``, which names the first fault in
-file order with its line and column.
+``parse_logic`` reads a file in one pass, up to the first grammar fault, and
+checks the declarations read with ``model.first_fault``: in bulk, with sets,
+when every atom line comes before the first context line, and one
+declaration at a time, in file order, to name a fault or when an atom line
+follows a context line.  A structural fault is shown at its declaration's
+line; one above a grammar fault comes first.
 
 ``serialize_logic`` emits the canonical form: atoms sorted by label, contexts
 in declared order, components as canonical tokens, LF line endings.  Parsing a
@@ -30,8 +32,7 @@ from importlib import resources
 from pathlib import Path
 
 from .model import (
-    Atom, Context, Logic, LogicChecker, LogicError, Ray, check_logic, format_quad, parse_quad,
-    quote_token,
+    Atom, Context, Logic, LogicError, Ray, first_fault, format_quad, parse_quad, quote_token,
 )
 from .model import rays_collinear  # noqa: F401  (bench/spans.py traces it under this name)
 
@@ -86,6 +87,12 @@ def _column(pieces: list[str], index: int) -> int:
     return column
 
 
+def _declaration_lines(lines: list[list[str]]) -> list[tuple[int, list[str]]]:
+    """(line number, pieces) of each line holding a token: up to the first grammar
+    fault, the dim line and then one declaration per line."""
+    return [(lineno, pieces) for lineno, pieces in enumerate(lines, start=1) if any(pieces)]
+
+
 def _parse_dimension(value: str) -> int:
     try:
         if value.isascii() and value.isdigit():
@@ -100,124 +107,86 @@ def parse_logic(text: str) -> Logic:
 
     Raises GlsParseError with line/column on the first problem in file order:
     a grammar fault (unknown keyword, misplaced or malformed ``dim``, missing
-    label, a component token outside Q(sqrt(2))) or a structural rule of
-    ``model.LogicChecker``.  The file is read in one pass and checked in bulk
-    by ``model.check_logic``; only when that finds a fault, or when an atom
-    line follows a context line, are the declarations walked one at a time
-    to name the fault, or to accept the file.
+    label, a component token outside Q(sqrt(2)), the zero ray) or a structural
+    rule of ``model.first_fault``.  One pass reads the lines up to the first
+    grammar fault; ``first_fault`` then checks the declarations read, and a
+    structural fault among them comes first.
     """
     lines = _pieces(text)
-    try:
-        logic = _read(lines)
-    except ValueError:  # a component, ray or dimension fault; LogicError is one too
-        logic = None
-    if logic is not None and check_logic(logic):
-        return logic
-    return _walk(lines)
-
-
-def _read(lines: list[list[str]]) -> Logic | None:
-    """The logic the lines declare, or None at a grammar fault or an atom after a context."""
     dimension = None
     atoms: list[Atom] = []
     contexts: list[Context] = []
-    for tokens in lines:
+    interleaved = False  # an atom line follows a context line
+    fault = None  # the first grammar fault: line number, token index, message
+    for lineno, pieces in enumerate(lines, start=1):
+        tokens = pieces
         if "" in tokens:
             tokens = [piece for piece in tokens if piece]
             if not tokens:
                 continue
         keyword = tokens[0]
-        if keyword == "atom" and len(tokens) > 1 and dimension is not None and not contexts:
-            components = tokens[2:]
-            ray = Ray(tuple(map(parse_quad, components))) if components else None
-            atoms.append(Atom(tokens[1], ray))
-        elif keyword == "context" and len(tokens) > 1 and dimension is not None:
-            contexts.append(Context(tokens[1], tuple(tokens[2:])))
-        elif keyword == "dim" and len(tokens) == 2 and dimension is None:
-            dimension = _parse_dimension(tokens[1])
-        else:
-            return None
-    if dimension is None:
-        return None
-    return Logic(dimension, tuple(atoms), tuple(contexts))
-
-
-def _walk(lines: list[list[str]]) -> Logic:
-    """Check each declaration as it is read, raising GlsParseError on the first fault."""
-    checker: LogicChecker | None = None
-    atoms: list[Atom] = []
-    contexts: list[Context] = []
-
-    for lineno, pieces in enumerate(lines, start=1):
-        tokens = list(filter(None, pieces))
-        if not tokens:
-            continue
-        keyword = tokens[0]
-        try:
-            if keyword == "dim":
-                if checker is not None:
-                    raise GlsParseError("duplicate dim declaration", lineno, _column(pieces, 0))
-                if len(tokens) != 2:
-                    raise GlsParseError("expected: dim <integer>", lineno, _column(pieces, 0))
-                try:
-                    dimension = _parse_dimension(tokens[1])
-                except ValueError as exc:
-                    raise GlsParseError(str(exc), lineno, _column(pieces, 1)) from None
-                checker = LogicChecker(dimension)
-
-            elif keyword == "atom":
-                if checker is None:
-                    raise GlsParseError(
-                        "dim must be declared before atoms", lineno, _column(pieces, 0)
-                    )
-                if len(tokens) < 2:
-                    raise GlsParseError(
-                        "expected: atom <label> [components...]", lineno, _column(pieces, 0)
-                    )
+        if keyword == "atom" and len(tokens) > 1 and dimension is not None:
+            ray = None
+            if len(tokens) > 2:
                 values = []
                 try:
                     for token in tokens[2:]:
                         values.append(parse_quad(token))
-                except ValueError as exc:
-                    raise GlsParseError(
-                        str(exc), lineno, _column(pieces, len(values) + 2)
-                    ) from None
-                atom = Atom(tokens[1], Ray(tuple(values)) if values else None)
-                checker.atom(atom)
-                atoms.append(atom)
-
-            elif keyword == "context":
-                if checker is None:
-                    raise GlsParseError(
-                        "dim must be declared before contexts", lineno, _column(pieces, 0)
-                    )
-                if len(tokens) < 2:
-                    raise GlsParseError(
-                        "expected: context <label> <member>...", lineno, _column(pieces, 0)
-                    )
-                context = Context(tokens[1], tuple(tokens[2:]))
-                checker.context(context)
-                contexts.append(context)
-
+                    ray = Ray(tuple(values))
+                except LogicError as exc:  # the zero ray, shown at its first component
+                    fault = lineno, 2, str(exc)
+                    break
+                except ValueError as exc:  # shown at the first bad component
+                    fault = lineno, len(values) + 2, str(exc)
+                    break
+            if contexts:
+                interleaved = True
+            atoms.append(Atom(tokens[1], ray))
+        elif keyword == "context" and len(tokens) > 1 and dimension is not None:
+            contexts.append(Context(tokens[1], tuple(tokens[2:])))
+        elif keyword == "dim" and len(tokens) == 2 and dimension is None:
+            try:
+                dimension = _parse_dimension(tokens[1])
+            except ValueError as exc:
+                fault = lineno, 1, str(exc)
+                break
+        else:
+            if keyword == "dim" and dimension is not None:
+                message = "duplicate dim declaration"
+            elif keyword == "dim":
+                message = "expected: dim <integer>"
+            elif keyword not in ("atom", "context"):
+                message = f"unknown keyword {quote_token(keyword)}"
+            elif dimension is None:
+                message = f"dim must be declared before {keyword}s"
+            elif keyword == "atom":
+                message = "expected: atom <label> [components...]"
             else:
-                raise GlsParseError(
-                    f"unknown keyword {quote_token(keyword)}", lineno, _column(pieces, 0)
-                )
-        except LogicError as exc:
-            # The checker names the token; Ray's own fault (the zero ray) has
-            # none and lies in the components.
-            token = 1 if exc.token is None else exc.token
-            raise GlsParseError(str(exc), lineno, _column(pieces, token + 1)) from None
+                message = "expected: context <label> <member>..."
+            fault = lineno, 0, message
+            break
 
-    last_line = len(lines)
-    if checker is None:
-        raise GlsParseError("missing dim declaration", last_line, 1)
-    try:
-        checker.finish()
-    except LogicError as exc:
-        # An atom that occurs in no context has no single offending line.
-        raise GlsParseError(str(exc), last_line, 1) from None
-    return Logic(checker.dimension, tuple(atoms), tuple(contexts))
+    if dimension is not None:
+        count = len(atoms) + len(contexts)
+        declarations = None
+        if interleaved:
+            typed = {"atom": iter(atoms), "context": iter(contexts)}
+            kinds = [next(filter(None, pieces)) for _, pieces in _declaration_lines(lines)]
+            declarations = [next(typed[kind]) for kind in kinds[1 : count + 1]]
+        structural = first_fault(dimension, atoms, contexts, declarations)
+        # An atom in no context is a fault only at the end of the file.
+        if structural is not None and (fault is None or structural[0] < count):
+            index, exc = structural
+            if index == count:
+                raise GlsParseError(str(exc), len(lines), 1)
+            lineno, pieces = _declaration_lines(lines)[index + 1]
+            raise GlsParseError(str(exc), lineno, _column(pieces, exc.token + 1))
+    if fault is not None:
+        lineno, token, message = fault
+        raise GlsParseError(message, lineno, _column(lines[lineno - 1], token))
+    if dimension is None:
+        raise GlsParseError("missing dim declaration", len(lines), 1)
+    return Logic(dimension, tuple(atoms), tuple(contexts))
 
 
 def serialize_logic(logic: Logic) -> str:

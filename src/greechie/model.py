@@ -7,6 +7,8 @@ test is computed exactly in Q(sqrt(2)); no ray in the supported corpus needs a
 larger field, and tokens outside it are rejected outright.
 ``Quad`` is the exact value parsed, formatted and printed; ray tests run on ints
 (``Ray.ints``, ``Ray.key``, ``orthogonal``), since scaling keeps both relations.
+The structural rules of a logic live in ``first_fault``: ``Logic.validate``
+and the ``.gls`` parser both raise the fault it names.
 """
 
 from __future__ import annotations
@@ -171,6 +173,8 @@ def parse_quad(token: str) -> Quad:
                 terms.append(Quad(sign * Fraction(m.group("plain"))))
         except ZeroDivisionError:
             raise ValueError(f"invalid component token {shown}: zero denominator") from None
+        except ValueError:  # more digits than int() converts
+            raise ValueError(f"invalid component token {shown}: too many digits") from None
         pos = m.end()
     if not terms or len(terms) > 2:
         raise ValueError(f"invalid component token {shown}")
@@ -302,115 +306,121 @@ class Context:
         object.__setattr__(self, "members", tuple(self.members))
 
 
-class LogicChecker:
-    """The structural rules of a logic, checked one declaration at a time.
+def first_fault(
+    dimension: int,
+    atoms: Sequence[Atom],
+    contexts: Sequence[Context],
+    declarations: Sequence[Atom | Context] | None = None,
+) -> tuple[int, LogicError] | None:
+    """The first structural fault of a logic and the index of its declaration, or None.
 
-    Declare each atom before any context that names it, then call
-    :meth:`finish`.  Each declaration raises LogicError, with ``token`` set,
-    on the first rule it breaks; ``finish`` reports an atom in no context.
-    ``check_logic`` decides the same rules for a whole logic at once; this
-    walk runs only to name the first fault.
+    The rules: the dimension is at least 3; atom labels are distinct; a ray has
+    ``dimension`` components and no other atom's ray is collinear with it;
+    context labels are distinct; a context names 2 to ``dimension`` atoms
+    declared before it, none twice, and no other context has its member set;
+    every atom occurs in a context.  The declarations are read atoms first, or
+    in the order of ``declarations`` when given.  Index -1 is the dimension,
+    ``len(atoms) + len(contexts)`` an atom in no context; the fault's ``token``
+    locates it inside the declaration.
+
+    Without ``declarations`` the rules are decided with whole-logic sets, and
+    the declarations are walked one at a time only to name a fault.
     """
+    if declarations is None:
+        labels = {a.label for a in atoms}
+        rays = [a.ray for a in atoms if a.ray is not None]
+        members = [c.members for c in contexts]
+        sizes = list(map(len, members))
+        member_sets = list(map(frozenset, members))
+        # Equal totals mean no context repeats a member; the union of the member
+        # sets is the declared labels when every member is declared and every atom used.
+        if (
+            dimension >= 3
+            and len(labels) == len(atoms)
+            and all(len(r) == dimension for r in rays)
+            and len({r.key for r in rays}) == len(rays)
+            and len({c.label for c in contexts}) == len(contexts)
+            and (not sizes or min(sizes) >= 2 and max(sizes) <= dimension)
+            and sum(map(len, member_sets)) == sum(sizes)
+            and len(set(member_sets)) == len(member_sets)
+            and labels == set().union(*member_sets)
+        ):
+            return None
+        declarations = (*atoms, *contexts)
+    return _walk(dimension, declarations)
 
-    def __init__(self, dimension: int) -> None:
-        if dimension < 3:
-            raise LogicError(f"dimension must be >= 3, got {dimension}", token=0)
-        self.dimension = dimension
-        self._used: dict[str, bool] = {}  # atom label -> occurs in a context
-        self._rays: dict[tuple[int, ...], str] = {}  # Ray.key -> atom label
-        self._contexts: set[str] = set()
-        self._member_sets: dict[frozenset[str], str] = {}
 
-    def atom(self, a: Atom) -> None:
-        if a.label in self._used:
-            raise LogicError(f"duplicate atom label {quote_token(a.label)}", token=0)
-        if a.ray is not None:
-            if len(a.ray) != self.dimension:
-                raise LogicError(
-                    f"atom {quote_token(a.label)} has {len(a.ray)} components, "
-                    f"expected {self.dimension}",
-                    token=1,
-                )
-            other = self._rays.setdefault(a.ray.key, a.label)
-            if other != a.label:
-                raise LogicError(
-                    f"atom {quote_token(a.label)} duplicates the ray of atom "
-                    f"{quote_token(other)}; distinct atoms must not carry the same ray",
-                    token=1,
-                )
-        self._used[a.label] = False
-
-    def context(self, c: Context) -> None:
-        if c.label in self._contexts:
-            raise LogicError(f"duplicate context label {quote_token(c.label)}", token=0)
-        if len(c.members) < 2:
-            raise LogicError(f"context {quote_token(c.label)} needs at least 2 members", token=0)
-        if len(c.members) > self.dimension:
-            raise LogicError(
-                f"context {quote_token(c.label)} has {len(c.members)} members, "
-                f"more than dimension {self.dimension}",
+def _walk(
+    dimension: int, declarations: Sequence[Atom | Context]
+) -> tuple[int, LogicError] | None:
+    """``first_fault`` read one declaration at a time, in the given order."""
+    if dimension < 3:
+        return -1, LogicError(f"dimension must be >= 3, got {dimension}", token=0)
+    used: dict[str, bool] = {}  # atom label -> occurs in a context
+    rays: dict[tuple[int, ...], str] = {}  # Ray.key -> atom label
+    context_labels: set[str] = set()
+    member_sets: dict[frozenset[str], str] = {}
+    for index, item in enumerate(declarations):
+        label = item.label
+        if isinstance(item, Atom):
+            if label in used:
+                return index, LogicError(f"duplicate atom label {quote_token(label)}", token=0)
+            if item.ray is not None:
+                if len(item.ray) != dimension:
+                    return index, LogicError(
+                        f"atom {quote_token(label)} has {len(item.ray)} components, "
+                        f"expected {dimension}",
+                        token=1,
+                    )
+                other = rays.setdefault(item.ray.key, label)
+                if other != label:
+                    return index, LogicError(
+                        f"atom {quote_token(label)} duplicates the ray of atom "
+                        f"{quote_token(other)}; distinct atoms must not carry the same ray",
+                        token=1,
+                    )
+            used[label] = False
+            continue
+        members = item.members
+        if label in context_labels:
+            return index, LogicError(f"duplicate context label {quote_token(label)}", token=0)
+        if len(members) < 2:
+            return index, LogicError(
+                f"context {quote_token(label)} needs at least 2 members", token=0
+            )
+        if len(members) > dimension:
+            return index, LogicError(
+                f"context {quote_token(label)} has {len(members)} members, "
+                f"more than dimension {dimension}",
                 token=1,
             )
-        key = frozenset(c.members)
-        if len(key) != len(c.members) or not self._used.keys() >= key:
-            seen: set[str] = set()
-            for k, m in enumerate(c.members, start=1):
-                if m not in self._used:
-                    raise LogicError(
-                        f"context {quote_token(c.label)} member {quote_token(m)} "
-                        "is not a declared atom",
-                        token=k,
-                    )
-                if m in seen:
-                    raise LogicError(
-                        f"context {quote_token(c.label)} repeats member {quote_token(m)}",
-                        token=k,
-                    )
-                seen.add(m)
-        if key in self._member_sets:
-            other = self._member_sets[key]
-            raise LogicError(
-                f"context {quote_token(c.label)} has the same member set as context "
-                f"{quote_token(other)}",
+        seen: set[str] = set()
+        for k, m in enumerate(members, start=1):
+            if m not in used:
+                return index, LogicError(
+                    f"context {quote_token(label)} member {quote_token(m)} "
+                    "is not a declared atom",
+                    token=k,
+                )
+            if m in seen:
+                return index, LogicError(
+                    f"context {quote_token(label)} repeats member {quote_token(m)}", token=k
+                )
+            seen.add(m)
+        key = frozenset(seen)
+        if key in member_sets:
+            return index, LogicError(
+                f"context {quote_token(label)} has the same member set as context "
+                f"{quote_token(member_sets[key])}",
                 token=0,
             )
-        self._contexts.add(c.label)
-        self._member_sets[key] = c.label
-        self._used.update(dict.fromkeys(key, True))
-
-    def finish(self) -> None:
-        for label, used in self._used.items():
-            if not used:
-                raise LogicError(f"atom {quote_token(label)} occurs in no context")
-
-
-def check_logic(logic: Logic) -> bool:
-    """Whether ``logic`` keeps every rule of LogicChecker, decided with whole-logic sets.
-
-    True exactly when ``Logic.validate`` would raise nothing.  It names no
-    fault: callers that get False walk the declarations with LogicChecker.
-    """
-    dimension, atoms, contexts = logic.dimension, logic.atoms, logic.contexts
-    labels = {a.label for a in atoms}
-    if dimension < 3 or len(labels) != len(atoms):
-        return False
-    rays = [a.ray for a in atoms if a.ray is not None]
-    if any(len(r) != dimension for r in rays) or len({r.key for r in rays}) != len(rays):
-        return False
-    if len({c.label for c in contexts}) != len(contexts):
-        return False
-    members = [c.members for c in contexts]
-    sizes = list(map(len, members))
-    if sizes and (min(sizes) < 2 or max(sizes) > dimension):
-        return False
-    member_sets = list(map(frozenset, members))
-    # Equal totals mean no context repeats a member; the union of the member
-    # sets is the declared labels when every member is declared and every atom used.
-    return (
-        sum(map(len, member_sets)) == sum(sizes)
-        and len(set(member_sets)) == len(member_sets)
-        and labels == set().union(*member_sets)
-    )
+        context_labels.add(label)
+        member_sets[key] = label
+        used.update(dict.fromkeys(seen, True))
+    for atom, in_context in used.items():
+        if not in_context:
+            return len(declarations), LogicError(f"atom {quote_token(atom)} occurs in no context")
+    return None
 
 
 @dataclass(frozen=True)
@@ -418,7 +428,7 @@ class Logic:
     """A finite pasting of contexts over a shared atom set.
 
     Construction does not validate; call :meth:`validate` to enforce the
-    structural invariants of LogicChecker, which the parser enforces too.
+    structural rules of ``first_fault``, which the parser enforces too.
     Geometric soundness of a realization -- pairwise orthogonality inside
     every context -- is checked by ``analysis.verify_realization``, which
     reports rather than raises, so that broken realizations can be examined.
@@ -468,19 +478,11 @@ class Logic:
         return all(a.ray is not None for a in self.atoms)
 
     def validate(self) -> None:
-        """Raise LogicError on the first structural violation, atoms first.
-
-        ``check_logic`` decides in bulk; LogicChecker walks the declarations
-        only to name the fault.
-        """
-        if check_logic(self):
-            return
-        checker = LogicChecker(self.dimension)
-        for a in self.atoms:
-            checker.atom(a)
-        for c in self.contexts:
-            checker.context(c)
-        checker.finish()
+        """Raise the LogicError of ``first_fault``, the first structural violation
+        with atoms read first."""
+        fault = first_fault(self.dimension, self.atoms, self.contexts)
+        if fault is not None:
+            raise fault[1]
 
 
 def orthogonality_edges(logic: Logic) -> set[frozenset[str]]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import random
 import subprocess
@@ -942,3 +943,67 @@ class TestInstalledEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout == "0\n"
+
+
+# --------------------------------------------------------------------------
+# fuzzing every file subcommand with mutated corpus files
+# --------------------------------------------------------------------------
+
+_FUZZ_ARGV = (
+    ["check"], ["states"], ["states", "--list"], ["states", "--count-only"], ["rules", "--json"],
+    ["parity"], ["collapse"], ["dual"], ["quantum"], ["quantum", "--json"],
+    ["dot"], ["dot", "--mode", "tkadlec"],
+)
+_FUZZ_TOKENS = (
+    "atom", "context", "dim", "vertex", "2", "3", "4", "0", "-1", "r2", "1/2", "1+1r2",
+    "r3", "1/0", "#", "",
+)
+
+
+def _mutated_corpus_text(rng: random.Random) -> str:
+    """A corpus file with lines deleted, duplicated, moved or shuffled and tokens replaced."""
+    lines = corpus_path(rng.choice(CORPUS_FILES)).read_text(encoding="utf-8").splitlines()
+    for _ in range(rng.randint(1, 3)):
+        how = rng.choice(("delete", "duplicate", "move", "shuffle", "token", "token"))
+        i = rng.randrange(len(lines))
+        if how == "delete" and len(lines) > 1:
+            del lines[i]
+        elif how == "duplicate":
+            lines.insert(rng.randint(0, len(lines)), lines[i])
+        elif how == "move":
+            lines.insert(rng.randint(0, len(lines) - 1), lines.pop(i))
+        elif how == "shuffle":
+            j = rng.randint(i, len(lines))
+            block = lines[i:j]
+            rng.shuffle(block)
+            lines[i:j] = block
+        else:
+            words = lines[i].split(" ")
+            other = rng.choice(lines).split(" ")
+            words[rng.randrange(len(words))] = rng.choice((rng.choice(other), *_FUZZ_TOKENS))
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of the JSON [argv, exit code, stdout, stderr] of every run below, the
+# file's path written as FILE.
+_FUZZ_DIGEST = "0eea34302bc36848be6d74ecb0c485781a6f57841b42a3682171fb5bf66e15b7"
+
+
+def test_mutated_files_end_in_a_report_or_one_error_line(capsys, tmp_path):
+    rng = random.Random(20071019)
+    path = tmp_path / "fuzz.gls"
+    digest = hashlib.sha256()
+    codes = set()
+    for _ in range(150):
+        path.write_text(_mutated_corpus_text(rng), encoding="utf-8")
+        for argv in _FUZZ_ARGV:
+            code, out, err = run_cli(capsys, *argv, str(path))
+            assert code in (0, 1, 2), (argv, code)
+            if code == 2:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+            codes.add(code)
+            run = [argv, code, out.replace(str(path), "FILE"), err.replace(str(path), "FILE")]
+            digest.update(json.dumps(run).encode("utf-8"))
+    assert codes == {0, 2}
+    assert digest.hexdigest() == _FUZZ_DIGEST

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_random_logic, with_distinct_rays
-from greechie import gls
+from greechie import model
 from greechie.analysis import make_star
 from greechie.gls import (
     CORPUS_FILES,
@@ -22,7 +22,7 @@ from greechie.gls import (
     parse_logic,
     serialize_logic,
 )
-from greechie.model import Logic, parse_quad
+from greechie.model import Logic, Ray, format_quad, parse_quad
 
 
 class TestParseBasics:
@@ -130,8 +130,14 @@ class TestParseErrors:
             ("atom A r2" + "1" * 5000 + " 0 0", 8),
             ("atom A 0 " + "1" * 4000 + "/0 0", 10),
             ("atom A 0 0 " + "1+" * 2500 + "1", 12),
+            ("atom A " + "1" * 5000 + " 0 0", 8),
+            ("atom A 0 1/" + "1" * 5000 + " 0", 10),
+            ("atom A 0 0 " + "1" * 5000 + "r2", 12),
         ],
-        ids=["keyword", "foreign", "missing-sign", "zero-denominator", "three-terms"],
+        ids=[
+            "keyword", "foreign", "missing-sign", "zero-denominator", "three-terms",
+            "long-integer", "long-denominator", "long-coefficient",
+        ],
     )
     def test_long_tokens_are_shortened(self, line, column):
         with pytest.raises(GlsParseError) as err:
@@ -255,6 +261,18 @@ class TestParseErrors:
     def test_dim_after_atom(self):
         self.expect_error("dim 3\natom A\ndim 3\n", 3, 1, "duplicate dim")
 
+    @pytest.mark.parametrize(
+        "text, line, column, fragment",
+        [
+            ("dim 2\natom A\nvertex A\n", 1, 5, ">= 3"),
+            ("dim 3\natom A\natom A\natom B 0 0 0\n", 3, 6, "duplicate atom label"),
+            ("dim 3\natom A\natom B\nvertex A\ncontext a A B\n", 4, 1, "unknown keyword"),
+        ],
+        ids=["small-dim", "structural", "unused-atom-not-yet"],
+    )
+    def test_structural_fault_above_a_grammar_fault(self, text, line, column, fragment):
+        self.expect_error(text, line, column, fragment)
+
 
 # Token grammar for the fuzz test: every keyword, labels, Q(sqrt 2) tokens and
 # malformed ones, a superscript digit, a digit run past int()'s limit, tabs,
@@ -319,14 +337,14 @@ def _noisy(text: str) -> str:
 
 @contextlib.contextmanager
 def counted_walks():
-    """Counts the entries into parse_logic's per-declaration walk."""
+    """Counts the entries into first_fault's per-declaration walk."""
     entries: list[int] = []
-    walk = gls._walk
-    gls._walk = lambda lines: entries.append(1) or walk(lines)
+    walk = model._walk
+    model._walk = lambda *args: entries.append(1) or walk(*args)
     try:
         yield entries
     finally:
-        gls._walk = walk
+        model._walk = walk
 
 
 class TestBulkPath:
@@ -565,6 +583,11 @@ def _faulty_gls(rng: random.Random) -> str:
         else:
             words = ["atom", "W", *["1"] * rng.choice((1, 2, dim + 1))]
         lines.insert(at, words)
+    return _layout(rng, lines)
+
+
+def _layout(rng: random.Random, lines: list[list[str]]) -> str:
+    """The lines written with random separators, line ends, indents and comment lines."""
     out = []
     for number, words in enumerate(lines):
         if rng.random() < 0.15:
@@ -592,3 +615,95 @@ def test_parse_fault_positions_are_pinned():
     assert len(messages) >= 8, messages
     digest = hashlib.sha256(json.dumps(faults).encode("utf-8")).hexdigest()
     assert digest == _FAULT_DIGEST
+
+
+# Seeded files of the shapes _faulty_gls never makes: a structural fault above
+# a grammar fault, a dim below 3 with later faults, collinear rays, repeated
+# member sets, contexts larger than dim, and atom lines after context lines,
+# each declared before its first use or not.
+_GRAMMAR_LINES = (
+    ["vertex", "A"], ["atom"], ["context"], ["dim", "3"], ["dim"],
+    ["atom", "Z", "r3", "0", "0"], ["atom", "Z", "0", "-0", "0r2"], ["atom", "Z", "1/0", "1", "1"],
+)
+_SCALES = ("2", "-1", "1/3", "r2", "1+1r2", "-2/5r2")
+_SHAPES = (
+    "structural_then_grammar", "small_dim", "collinear", "repeated_set", "too_large",
+    "interleaved", "used_before_declared",
+)
+
+
+def _structural_line(rng: random.Random, logic: Logic) -> list[str]:
+    labels = [a.label for a in logic.atoms]
+    members = list(rng.choice(logic.contexts).members)
+    rng.shuffle(members)
+    return rng.choice((
+        ["atom", rng.choice(labels)],
+        ["context", "u", rng.choice(labels), "nowhere"],
+        ["context", "big", *rng.sample(labels + ["Q", "zz"], logic.dimension + 1)],
+        ["context", "same", *members],
+        ["context", rng.choice(logic.contexts).label, *rng.sample(labels, 2)],
+    ))
+
+
+def _structural_gls(rng: random.Random) -> str:
+    share = rng.choice((0.0, 0.5, 1.0))
+    logic = with_distinct_rays(build_random_logic(rng, max_atoms=8), rng, share)
+    lines = [line.split(" ") for line in serialize_logic(logic).splitlines()]
+    first_context = 1 + len(logic.atoms)
+    for shape in rng.sample(_SHAPES, rng.choice((1, 1, 2))):
+        if shape == "structural_then_grammar":
+            at = rng.randint(1, len(lines))
+            lines.insert(at, _structural_line(rng, logic))
+            lines.insert(rng.randint(at + 1, len(lines)), list(rng.choice(_GRAMMAR_LINES)))
+        elif shape == "small_dim":
+            lines[0] = ["dim", rng.choice("012")]
+            for _ in range(rng.randint(1, 2)):
+                fault = rng.choice((_structural_line(rng, logic), rng.choice(_GRAMMAR_LINES)))
+                lines.insert(rng.randint(2, len(lines)), list(fault))
+        elif shape == "collinear":
+            realized = [a for a in logic.atoms if a.ray is not None]
+            ray = (rng.choice(realized).ray if realized
+                   else Ray(tuple(map(parse_quad, _ray_words(0, logic.dimension)))))
+            scale = parse_quad(rng.choice(_SCALES))
+            words = ["atom", "K", *(format_quad(c * scale) for c in ray.components)]
+            lines.insert(rng.randint(1, first_context), words)
+            lines.append(["context", "k", "K", rng.choice(logic.atoms).label])
+        elif shape == "repeated_set":
+            members = list(rng.choice(logic.contexts).members)
+            rng.shuffle(members)
+            lines.insert(rng.randint(first_context, len(lines)), ["context", "again", *members])
+        elif shape == "too_large":
+            labels = [a.label for a in logic.atoms] + ["Q"]
+            words = ["context", "wide", *rng.sample(labels, min(len(labels), logic.dimension + 1))]
+            lines.insert(rng.randint(first_context, len(lines)), words)
+        else:  # move one atom line after a context line, before or after its first use
+            atom = rng.choice(logic.atoms)
+            line = next(w for w in lines if w[:2] == ["atom", atom.label])
+            lines.remove(line)
+            uses = [i for i, w in enumerate(lines) if w[0] == "context" and atom.label in w[2:]]
+            if shape == "interleaved":
+                at = rng.randint(min(first_context - 1, uses[0]), uses[0]) if uses else len(lines)
+            else:
+                at = rng.randint(uses[0] + 1, len(lines)) if uses else len(lines)
+            lines.insert(at, line)
+    return _layout(rng, lines)
+
+
+# sha256 of the JSON list of every (line, column, message) below, or of the
+# canonical text when a file parses.
+_STRUCTURAL_DIGEST = "696bf4f784f34aeea90bd7f123cb74230d4f973b9c765df0f9cd6f8e7a34b417"
+
+
+def test_structural_fault_positions_are_pinned():
+    rng = random.Random(20071018)
+    outcomes = []
+    for _ in range(800):
+        try:
+            outcomes.append(serialize_logic(parse_logic(_structural_gls(rng))))
+        except GlsParseError as err:
+            outcomes.append([err.line, err.column, err.message])
+    messages = {o[2].split(" ")[0] for o in outcomes if isinstance(o, list)}
+    assert len(messages) >= 7, messages
+    assert sum(isinstance(o, str) for o in outcomes) >= 50
+    digest = hashlib.sha256(json.dumps(outcomes).encode("utf-8")).hexdigest()
+    assert digest == _STRUCTURAL_DIGEST

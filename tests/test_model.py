@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -16,7 +18,6 @@ from greechie.model import (
     Atom,
     Context,
     Logic,
-    LogicChecker,
     LogicError,
     Quad,
     Ray,
@@ -28,7 +29,7 @@ from greechie.model import (
     parse_quad,
     rays_collinear,
     _spreadsheet_label,
-    check_logic,
+    first_fault,
 )
 
 
@@ -475,8 +476,8 @@ def test_spreadsheet_labels():
     assert _spreadsheet_label(26 * 27) == "aaa"
 
 
-# Each mutation breaks one structural rule of LogicChecker, or tries to; the
-# bulk check must agree with the walk whether or not the rule ends up broken.
+# Each mutation breaks one structural rule of first_fault, or tries to; its set
+# check must agree with its walk whether or not the rule ends up broken.
 def _mutate(logic: Logic, rng: random.Random, how: str) -> Logic:
     dim, atoms, contexts = logic.dimension, list(logic.atoms), list(logic.contexts)
     labels = [a.label for a in atoms]
@@ -527,18 +528,8 @@ _MUTATIONS = (
 )
 
 
-def _walk_accepts(logic: Logic) -> bool:
-    """Logic.validate as a LogicChecker walk over every declaration."""
-    try:
-        checker = LogicChecker(logic.dimension)
-        for a in logic.atoms:
-            checker.atom(a)
-        for c in logic.contexts:
-            checker.context(c)
-        checker.finish()
-    except LogicError:
-        return False
-    return True
+def _shown(fault):
+    return None if fault is None else (fault[0], str(fault[1]), fault[1].token)
 
 
 @settings(derandomize=True, deadline=None, max_examples=600)
@@ -551,12 +542,40 @@ def test_bulk_check_agrees_with_the_walk(seed, share, how):
     rng = random.Random(seed)
     logic = with_distinct_rays(build_random_logic(rng, max_atoms=10), rng, share)
     mutated = _mutate(logic, rng, how)
-    expected = _walk_accepts(mutated)
-    assert check_logic(mutated) is expected
+    atoms, contexts = mutated.atoms, mutated.contexts
+    fault = first_fault(mutated.dimension, atoms, contexts)
+    # Passing the declarations, in the same order, skips the set check.
+    assert _shown(fault) == _shown(
+        first_fault(mutated.dimension, atoms, contexts, (*atoms, *contexts))
+    )
     if how == "none":
-        assert expected
-    if expected:
+        assert fault is None
+    if fault is None:
         mutated.validate()
     else:
-        with pytest.raises(LogicError):
+        with pytest.raises(LogicError) as err:
             mutated.validate()
+        assert (str(err.value), err.value.token) == _shown(fault)[1:]
+
+
+# sha256 of the JSON list of every [mutation, message, token] below: what
+# Logic.validate raises on each mutated logic, or [mutation, None, None].
+_VALIDATE_DIGEST = "8942d2b695db9b59df3650e4c3223b004d33ac52bbf187f827ee996db14ac1cd"
+
+
+def test_validate_faults_are_pinned():
+    rng = random.Random(20071017)
+    faults = []
+    for _ in range(40):
+        for share in (0.0, 0.5, 1.0):  # abstract, mixed and realized atoms
+            for how in _MUTATIONS:
+                logic = with_distinct_rays(build_random_logic(rng, max_atoms=10), rng, share)
+                try:
+                    _mutate(logic, rng, how).validate()
+                except LogicError as exc:
+                    faults.append([how, str(exc), exc.token])
+                else:
+                    faults.append([how, None, None])
+    assert {how for how, message, _ in faults if message} == set(_MUTATIONS[1:])
+    digest = hashlib.sha256(json.dumps(faults).encode("utf-8")).hexdigest()
+    assert digest == _VALIDATE_DIGEST
