@@ -223,14 +223,22 @@ class StateSpaceReport(StateSummary):
 
     @cached_property
     def bit_strings(self) -> tuple[str, ...]:
-        """Each state as its bit string in ``labels`` order, as ``--list`` prints it."""
-        top = 1 << len(self.labels)
-        return tuple([bin(code | top)[3:] for code in self.codes])
+        """Each state as its bit string in ``labels`` order, as ``--list``
+        prints it; the CLI formats the same strings from ``codes`` a block
+        at a time instead of holding them all."""
+        return tuple(bit_strings_of(self.codes, len(self.labels)))
 
     @cached_property
     def states(self) -> tuple[TwoValuedState, ...]:
         """The states as objects, built only when asked for."""
         return tuple(TwoValuedState(self.labels, tuple(map(int, s))) for s in self.bit_strings)
+
+
+def bit_strings_of(codes: Iterable[int], width: int) -> list[str]:
+    """Each code as the bit string of its ``width`` atoms, ``labels[0]``
+    first: ``bin(code | 1 << width)[3:]``, so with no atoms it is ``""``."""
+    top = 1 << width
+    return [bin(code | top)[3:] for code in codes]
 
 
 def summarize_states(logic: Logic) -> StateSummary:

@@ -7,16 +7,18 @@ parse errors.
 
 Output is byte-deterministic: fixed orderings everywhere, JSON with sorted
 keys (``_json_text``), probabilities printed with nine decimals in text mode.
+A ``states --list`` report holds the state codes, not their bit strings; the
+listing is formatted and written ``LISTING_BLOCK`` states at a time.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from json.encoder import INFINITY, encode_basestring_ascii
-from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from . import analysis, diagrams, gls
 from .model import Logic, LogicError, format_quad, inner_product, quote_token
@@ -44,7 +46,13 @@ def _report_check(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[st
         }
         if check.failing_pair:
             x, y = check.failing_pair
-            entry["inner"] = format_quad(inner_product(logic.ray_of(x), logic.ray_of(y)))
+            try:
+                entry["inner"] = format_quad(inner_product(logic.ray_of(x), logic.ray_of(y)))
+            except ValueError:  # past the interpreter's limit on printed digits
+                raise LogicError(
+                    f"context {quote_token(check.label)}: the inner product of "
+                    f"{quote_token(x)} and {quote_token(y)} has too many digits to print"
+                ) from None
             lines.append(f"  context {check.label}: FAIL <{x},{y}> inner {entry['inner']}")
         else:
             note = " (non-maximal)" if check.non_maximal else ""
@@ -63,7 +71,7 @@ def _report_check(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[st
     return doc, lines, not report.passed
 
 
-def _report_states(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[str], bool]:
+def _report_states(logic: Logic, args: argparse.Namespace) -> tuple[dict, list, bool]:
     report = (analysis.enumerate_states if args.list else analysis.summarize_states)(logic)
     if args.count_only and not args.json:
         return {}, [str(report.count)], report.empty
@@ -79,10 +87,50 @@ def _report_states(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[s
         f"unital={report.unital} separating={report.separating}"
     ]
     if args.list:
-        doc["states"] = list(report.bit_strings)
+        listing = _Listing(report.codes, len(logic.labels))
+        doc["states"] = listing
         lines.append("atoms: " + " ".join(logic.labels))
-        lines.extend(report.bit_strings)
+        lines.append(listing)
     return doc, lines, report.empty
+
+
+# States formatted per join in a listing: enough that a block costs little
+# more than its own strings, few enough that no large text is ever held.
+LISTING_BLOCK = 1024
+
+
+class _Listing:
+    """The ascending state codes of a ``--list`` report.  It stands as the
+    ``states`` array of the report's JSON document and as the last of its
+    text lines, and is written as bit strings, ``LISTING_BLOCK`` states per
+    join; in text each line starts with ``prefix``."""
+
+    def __init__(self, codes: tuple[int, ...], width: int, prefix: str = "") -> None:
+        self.codes, self.width, self.prefix = codes, width, prefix
+
+    def _blocks(self) -> Iterator[list[str]]:
+        codes, size = self.codes, LISTING_BLOCK
+        for start in range(0, len(codes), size):
+            yield analysis.bit_strings_of(codes[start:start + size], self.width)
+
+    def text(self) -> Iterator[str]:
+        """Each state on its own line after ``prefix``."""
+        prefix, separator = self.prefix, "\n" + self.prefix
+        for block in self._blocks():
+            yield prefix + separator.join(block) + "\n"
+
+    def json(self, newline: str) -> Iterator[str]:
+        """The states as a JSON array whose lines start with ``newline``.
+        A bit string needs no escapes, so quoting it encodes it."""
+        if not self.codes:
+            yield "[]"
+            return
+        inner = newline + '  "'
+        separator, opening = '",' + inner, "[" + inner
+        for block in self._blocks():
+            yield opening + separator.join(block) + '"'
+            opening = separator[1:]
+        yield newline + "]"
 
 
 def _report_rules(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[str], bool]:
@@ -305,8 +353,33 @@ def _json_text(payload: dict) -> str:
     return "".join(chunks)
 
 
-def _write_json(value: Any, chunks: list[str], newline: str) -> None:
-    """Append ``value`` to ``chunks``; ``newline`` starts a line at its depth."""
+def _json_chunks(payload: dict, listed: bool) -> Iterable[str]:
+    """``_json_text(payload) + "\n"`` as the chunks to write in order: one
+    string, or, when ``listed`` says the payload holds state listings, the
+    text around each listing and the listing's blocks."""
+    chunks: list = []
+    _write_json(payload, chunks, "\n")
+    chunks.append("\n")
+    return _joined(chunks) if listed else ("".join(chunks),)
+
+
+def _joined(pieces: list) -> Iterator[str]:
+    """Each run of strings in ``pieces`` joined, and each other piece, an
+    iterator of chunks, written out in its place."""
+    run: list[str] = []
+    for piece in pieces:
+        if isinstance(piece, str):
+            run.append(piece)
+        else:
+            yield "".join(run)
+            run = []
+            yield from piece
+    yield "".join(run)
+
+
+def _write_json(value: Any, chunks: list, newline: str) -> None:
+    """Append ``value`` to ``chunks``; ``newline`` starts a line at its depth.
+    A state listing is appended as the iterator of its blocks."""
     if isinstance(value, str):
         chunks.append(encode_basestring_ascii(value))
     elif isinstance(value, dict):
@@ -355,6 +428,8 @@ def _write_json(value: Any, chunks: list[str], newline: str) -> None:
             chunks.append("-Infinity")
         else:
             chunks.append(float.__repr__(value))
+    elif isinstance(value, _Listing):
+        chunks.append(value.json(newline))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -367,14 +442,25 @@ class _Refusal(Exception):
     """An input or output fault: the run ends with exit 2 and this message."""
 
 
-def _emit(text: str, out: str | None) -> None:
-    if not out:
-        sys.stdout.write(text)
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write ``chunks`` in order to the file ``out``, or to stdout.  A reader
+    that closes stdout early (``| head``) ends the writing, not the run."""
+    if out:
+        try:
+            with open(out, "w", encoding="utf-8") as stream:
+                stream.writelines(chunks)
+        except OSError as exc:
+            raise _Refusal(f"cannot write {out!r}: {exc.strerror or exc}") from None
         return
     try:
-        Path(out).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise _Refusal(f"cannot write {out!r}: {exc.strerror or exc}") from None
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # What is still buffered goes to the null device at exit, so the
+        # interpreter's last flush finds no closed pipe to complain about.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 def _load(name: str) -> Logic:
@@ -387,8 +473,15 @@ def _load(name: str) -> Logic:
 
 
 def _run_file_command(args: argparse.Namespace) -> int:
+    """Load and analyse every file, then write all reports as one document.
+
+    Nothing is written before the last file's report is built, so a refused
+    run prints nothing and creates no ``--out`` file.  A ``--list`` report's
+    states are formatted only while the document is written, a block at a
+    time (``_Listing``); any other document is joined and written at once.
+    """
     reports: list[dict] = []
-    blocks: list[str] = []
+    blocks: list = []
     negatives = 0
     for name in args.files:
         try:
@@ -399,7 +492,10 @@ def _run_file_command(args: argparse.Namespace) -> int:
         reports.append(doc)
         if len(args.files) > 1:
             blocks.append(f"{name}:")
-            blocks.extend("  " + line for line in lines)
+            blocks.extend(
+                "  " + line if isinstance(line, str) else _Listing(line.codes, line.width, "  ")
+                for line in lines
+            )
         else:
             blocks.extend(lines)
         if negative:
@@ -408,16 +504,19 @@ def _run_file_command(args: argparse.Namespace) -> int:
     if len(args.files) > 1:
         blocks.append(f"{len(args.files)} files, {negatives} with adverse findings")
 
+    listed = getattr(args, "list", False)
     if getattr(args, "json", False):
         payload = {
             "command": args.command,
             "reports": reports,
             "summary": {"files": len(args.files), "negative_findings": negatives},
         }
-        text = _json_text(payload) + "\n"
+        chunks = _json_chunks(payload, listed)
+    elif listed:
+        chunks = _joined([line + "\n" if isinstance(line, str) else line.text() for line in blocks])
     else:
-        text = "\n".join(blocks) + "\n"
-    _emit(text, args.out)
+        chunks = ("\n".join(blocks) + "\n",)
+    _emit(chunks, args.out)
 
     if getattr(args, "strict", False) and negatives:
         return 1
@@ -425,7 +524,7 @@ def _run_file_command(args: argparse.Namespace) -> int:
 
 
 def _run_dot(args: argparse.Namespace) -> int:
-    _emit("".join(diagrams.emit_dot(_load(name), args.mode) for name in args.files), args.out)
+    _emit(["".join(diagrams.emit_dot(_load(name), args.mode) for name in args.files)], args.out)
     return 0
 
 
@@ -434,7 +533,7 @@ def _run_star(args: argparse.Namespace) -> int:
         logic = analysis.make_star(args.dimension)
     except LogicError as exc:
         raise _Refusal(str(exc)) from None
-    _emit(gls.serialize_logic(logic), args.out)
+    _emit([gls.serialize_logic(logic)], args.out)
     return 0
 
 

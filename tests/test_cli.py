@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -715,13 +719,13 @@ class TestJsonWriter:
     )
     def test_quantum_reports_match_the_stdlib(self, capsys, monkeypatch, argv):
         payloads = []
-        write = cli._json_text
+        write = cli._json_chunks
 
-        def spy(payload):
+        def spy(payload, listed):
             payloads.append(payload)
-            return write(payload)
+            return write(payload, listed)
 
-        monkeypatch.setattr(cli, "_json_text", spy)
+        monkeypatch.setattr(cli, "_json_chunks", spy)
         code, out, _ = run_cli(capsys, *argv)
         if code == 2:  # an abstract corpus file has no rays to confront
             assert payloads == []
@@ -863,6 +867,70 @@ class TestDeepInputs:
         assert states == sorted([evens, odds])
 
 
+@pytest.fixture(scope="module")
+def star7(tmp_path_factory) -> str:
+    path = tmp_path_factory.mktemp("listing") / "star7.gls"
+    path.write_text(serialize_logic(make_star(7)), encoding="utf-8")
+    return str(path)
+
+
+class _Discard(io.TextIOBase):
+    """A text stream that keeps nothing it is given."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+LIST_MODES = pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+
+
+class TestStreamedListing:
+    """``states --list`` holds the state codes and writes their bit strings a
+    block at a time, after every file is analysed."""
+
+    @LIST_MODES
+    def test_peak_memory_stays_near_the_codes(self, star7, mode):
+        """star7's 326 592 codes peak at about 28 MiB while they are listed;
+        holding every bit string, or the whole text, took 69 MiB as text and
+        94 MiB as JSON."""
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(_Discard()):
+                code = main(["states", "--list", *mode, star7])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 35 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+    @LIST_MODES
+    def test_refused_run_writes_nothing(self, capsys, tmp_path, unparsable_file, mode):
+        target = tmp_path / "listing.out"
+        code, out, err = run_cli(
+            capsys, "states", "--list", *mode, "--out", str(target),
+            path_of("gamma1.gls"), unparsable_file,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not target.exists()
+
+    @LIST_MODES
+    def test_closed_pipe_ends_quietly(self, star7, mode):
+        """A reader that stops after one line, as ``| head -n 1`` does, ends
+        the writing: no traceback, no error line, the run's own exit code."""
+        paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        argv = [sys.executable, "-m", "greechie.cli", "states", "--list", *mode, star7]
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        with subprocess.Popen(argv, env=env, **pipes) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait()
+        header = "{" if mode else "count=326592 empty=False unital=True separating=True"
+        assert (first, code, err) == (header.encode() + b"\n", 0, b"")
+
+
 class TestExactRays:
     """Printed values stay exact Q(sqrt 2) numbers, whatever the ray layer
     computes internally, and float conversion survives any component size."""
@@ -884,6 +952,23 @@ class TestExactRays:
         payload = json.loads(out)
         jsonschema.validate(payload, schema)
         assert payload["reports"][0]["contexts"][0]["inner"] == "4/15r2"
+
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    def test_check_refuses_an_inner_product_too_long_to_print(self, capsys, tmp_path, mode):
+        # Each ray has a 4 000-digit component, inside the parser's limit;
+        # their inner product 1/N**2 has about 8 000 digits.
+        lead = "1/" + "1" * 4000
+        path = tmp_path / "long.gls"
+        path.write_text(
+            f"dim 3\natom A {lead} 1 0\natom {LONG_LABEL} {lead} 0 1\ncontext a A {LONG_LABEL}\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "check", *mode, str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path}: context 'a': the inner product of 'A' and {SHOWN_LABEL} "
+            "has too many digits to print\n"
+        )
 
     @pytest.mark.parametrize(
         "lead", ["1" + "0" * 400, "1/1" + "0" * 400, "-7" + "0" * 200], ids=["huge", "tiny", "large"]

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from greechie import cli
 from greechie.analysis import make_star
 from greechie.cli import main
 from greechie.gls import CORPUS_FILES, corpus_path, serialize_logic
@@ -110,6 +111,75 @@ def test_large_listing_matches_pinned_digest(tmp_path, run, shuffled):
     star, command = run.split(": ")
     name = f"{star}.gls"
     (tmp_path / name).write_text(star_text(int(star[4:]), shuffled), encoding="utf-8")
+    assert digest(name, tuple(command.split()), tmp_path) == {
+        "exit": 0, "sha256": LARGE_LISTINGS[run]
+    }
+
+
+
+# Listings the corpus and the star5/star6 pins do not reach, pinned at the
+# commit before listings were streamed: make_star(7) (326 592 states) and a
+# multi-file run over a logic with states, one with none and one with no
+# atoms, whose one state is the empty string.
+STREAMED_LISTINGS = {
+    "star7.gls: states --list":
+        "fa82ddceec3aa69a2a62765f64ebf8528fb1444ba3929f95cc80bd51f506ebb4",
+    "star7.gls: states --list --json":
+        "7dcde9138355ea35cc3b7b8d60cc67da509c07e38737b7e9b4948b7879b2f2ba",
+    "gamma1.gls cabello18.gls atomless.gls: states --list":
+        "b19ddfb9381f4f4f4252d7bcd1e8df6404709956af70073c1594f451f8a16c7c",
+    "gamma1.gls cabello18.gls atomless.gls: states --list --json":
+        "f1747173b613ea4c7f4cbb789aed530ec1c5a615edd299cfc3b45a1e6b859ba7",
+}
+
+
+@pytest.fixture(scope="module")
+def listing_dir(tmp_path_factory) -> Path:
+    directory = tmp_path_factory.mktemp("listings")
+    (directory / "star7.gls").write_text(serialize_logic(make_star(7)), encoding="utf-8")
+    for name in ("gamma1.gls", "cabello18.gls"):
+        (directory / name).write_bytes(corpus_path(name).read_bytes())
+    (directory / "atomless.gls").write_text("dim 3\n", encoding="utf-8")
+    return directory
+
+
+def run_files(run: str, directory: Path, out: str | None = None) -> dict:
+    """Run a ``"<files>: <argv>"`` key of ``STREAMED_LISTINGS`` in ``directory``,
+    with ``--out out`` if given; the digest is of ``out``'s bytes then, and
+    stdout must stay empty."""
+    names, command = run.split(": ")
+    argv = [*command.split(), *(["--out", out] if out else []), *names.split()]
+    stdout = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        written = Path(out).read_bytes() if out else stdout.getvalue().encode("utf-8")
+    finally:
+        os.chdir(cwd)
+    assert not (out and stdout.getvalue())
+    return {"exit": code, "sha256": hashlib.sha256(written).hexdigest()}
+
+
+@pytest.mark.parametrize("out", [None, "listing.out"], ids=["stdout", "out"])
+@pytest.mark.parametrize("run", sorted(STREAMED_LISTINGS))
+def test_streamed_listing_matches_pinned_digest(listing_dir, run, out):
+    assert run_files(run, listing_dir, out) == {"exit": 0, "sha256": STREAMED_LISTINGS[run]}
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("run", sorted(LARGE_LISTINGS) + sorted(STREAMED_LISTINGS))
+def test_listing_digests_hold_at_every_block_size(monkeypatch, tmp_path, listing_dir, run, block):
+    """A listing is written a block of states at a time; with blocks of one
+    to three states every edge between blocks is crossed."""
+    monkeypatch.setattr(cli, "LISTING_BLOCK", block)
+    if run in STREAMED_LISTINGS:
+        assert run_files(run, listing_dir) == {"exit": 0, "sha256": STREAMED_LISTINGS[run]}
+        return
+    star, command = run.split(": ")
+    name = f"{star}.gls"
+    (tmp_path / name).write_text(star_text(int(star[4:]), False), encoding="utf-8")
     assert digest(name, tuple(command.split()), tmp_path) == {
         "exit": 0, "sha256": LARGE_LISTINGS[run]
     }
