@@ -20,7 +20,7 @@ sets are set-valued, and no floating point is involved anywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -244,7 +244,7 @@ def bit_strings_of(codes: Iterable[int], width: int) -> list[str]:
 def summarize_states(logic: Logic) -> StateSummary:
     """Count the two-valued states and fold them into per-atom codes without
     listing any."""
-    return StateSummary(logic.labels, *_per_atom(len(logic.labels), *_search(logic)))
+    return StateSummary(logic.labels, *_per_atom(len(logic.labels), *_search(logic), {}))
 
 
 def enumerate_states(logic: Logic) -> StateSpaceReport:
@@ -255,16 +255,15 @@ def enumerate_states(logic: Logic) -> StateSpaceReport:
     every combination of its subcomponents' codes.  The table lists
     children before parents, so one pass over it in that order lists each
     component once; it skips the components that no live branch from the
-    root reaches, whose states no state of the logic extends.  Each
-    component's codes are kept sorted, and a branch combines its parts
-    highest atoms first, so the products mostly come out as ascending runs
-    and the final sort, which is the guarantee, has little left to do.
+    root reaches, whose states no state of the logic extends, and which
+    ``_per_atom`` leaves out of its ``around`` table.  Each component's
+    codes are kept sorted, and a branch combines its parts highest atoms
+    first, so the products mostly come out as ascending runs and the final
+    sort, which is the guarantee, has little left to do.
     """
     solved, root = _search(logic)
-    reached = {part for _, parts, _, _ in root[3] for part in parts}
-    for part in reversed(solved):
-        if part in reached:
-            reached.update(p for _, parts, _, _ in solved[part][3] for p in parts)
+    labels, reached = logic.labels, {}
+    summary = _per_atom(len(labels), solved, root, reached)
     listed: dict[tuple[int, int], list[int]] = {}
 
     def expand(live: list) -> list[int]:
@@ -281,8 +280,7 @@ def enumerate_states(logic: Logic) -> StateSpaceReport:
             listed[part] = sorted(expand(live))
     codes = expand(root[3])
     codes.sort()
-    labels = logic.labels
-    return StateSpaceReport(labels, *_per_atom(len(labels), solved, root), tuple(codes))
+    return StateSpaceReport(labels, *summary, tuple(codes))
 
 
 # A solved component: (count, OR, AND, live branches), a live branch being
@@ -447,7 +445,7 @@ def _search(logic: Logic) -> tuple[dict[tuple[int, int], _Solved], _Solved]:
 
 
 def _per_atom(
-    n: int, solved: dict[tuple[int, int], _Solved], root: _Solved
+    n: int, solved: dict[tuple[int, int], _Solved], root: _Solved, around: dict
 ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """The count and, per label, the ``union`` and ``inter`` codes of a
     solved search over ``n`` atoms.
@@ -456,10 +454,11 @@ def _per_atom(
     component gets the OR and the AND of the codes of everything around it
     on the ways that reach it, and an atom forced in one of its branches
     gets those, each joined with the branch's own OR or AND: the ``union``
-    and ``inter`` of that atom, over every state.
+    and ``inter`` of that atom, over every state.  ``around``, empty on
+    entry, is left keyed by the components that a live branch from the
+    root reaches.
     """
     union, inter = [0] * n, [-1] * n  # per bit, not per label
-    around: dict[tuple[int, int], list[int]] = {}
 
     def visit(out_any: int, out_all: int, forced: int, parts, one: int, every: int) -> None:
         """Credit one live branch, reached with ``out_any``/``out_all`` around

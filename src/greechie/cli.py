@@ -6,7 +6,8 @@ parity obstruction, forced collapses, quantum violations), 2 on usage or
 parse errors.
 
 Output is byte-deterministic: fixed orderings everywhere, JSON with sorted
-keys (``_json_text``), probabilities printed with nine decimals in text mode.
+keys (``_write_json``), probabilities printed with nine decimals in text mode.
+Every document, text or JSON, is one list of pieces written by ``_emit``.
 A ``states --list`` report holds the state codes, not their bit strings; the
 listing is formatted and written ``LISTING_BLOCK`` states at a time.
 """
@@ -103,21 +104,21 @@ class _Listing:
     """The ascending state codes of a ``--list`` report.  It stands as the
     ``states`` array of the report's JSON document and as the last of its
     text lines, and is written as bit strings, ``LISTING_BLOCK`` states per
-    join; in text each line starts with ``prefix``."""
+    join."""
 
-    def __init__(self, codes: tuple[int, ...], width: int, prefix: str = "") -> None:
-        self.codes, self.width, self.prefix = codes, width, prefix
+    def __init__(self, codes: tuple[int, ...], width: int) -> None:
+        self.codes, self.width = codes, width
 
     def _blocks(self) -> Iterator[list[str]]:
         codes, size = self.codes, LISTING_BLOCK
         for start in range(0, len(codes), size):
             yield analysis.bit_strings_of(codes[start:start + size], self.width)
 
-    def text(self) -> Iterator[str]:
-        """Each state on its own line after ``prefix``."""
-        prefix, separator = self.prefix, "\n" + self.prefix
+    def text(self, indent: str) -> Iterator[str]:
+        """Each state on its own line after ``indent``."""
+        separator = "\n" + indent
         for block in self._blocks():
-            yield prefix + separator.join(block) + "\n"
+            yield indent + separator.join(block) + "\n"
 
     def json(self, newline: str) -> Iterator[str]:
         """The states as a JSON array whose lines start with ``newline``.
@@ -340,29 +341,6 @@ _parser = functools.cache(build_parser)
 # JSON writer
 # --------------------------------------------------------------------------
 
-def _json_text(payload: dict) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, for str
-    keys and dict, list, tuple, str, int, float, bool and None values.
-
-    With ``indent`` set the stdlib falls back to its pure-Python encoder; this
-    writer encodes strings in C, writes scalars inline by the same rules and
-    joins its chunks once.
-    """
-    chunks: list[str] = []
-    _write_json(payload, chunks, "\n")
-    return "".join(chunks)
-
-
-def _json_chunks(payload: dict, listed: bool) -> Iterable[str]:
-    """``_json_text(payload) + "\n"`` as the chunks to write in order: one
-    string, or, when ``listed`` says the payload holds state listings, the
-    text around each listing and the listing's blocks."""
-    chunks: list = []
-    _write_json(payload, chunks, "\n")
-    chunks.append("\n")
-    return _joined(chunks) if listed else ("".join(chunks),)
-
-
 def _joined(pieces: list) -> Iterator[str]:
     """Each run of strings in ``pieces`` joined, and each other piece, an
     iterator of chunks, written out in its place."""
@@ -379,6 +357,12 @@ def _joined(pieces: list) -> Iterator[str]:
 
 def _write_json(value: Any, chunks: list, newline: str) -> None:
     """Append ``value`` to ``chunks``; ``newline`` starts a line at its depth.
+
+    From the top, with ``newline`` ``"\n"``, the joined chunks are
+    ``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for str
+    keys and dict, list, tuple, str, int, float, bool and None values.  With
+    ``indent`` set the stdlib falls back to its pure-Python encoder; this
+    writer encodes strings in C and writes scalars inline by the same rules.
     A state listing is appended as the iterator of its blocks."""
     if isinstance(value, str):
         chunks.append(encode_basestring_ascii(value))
@@ -443,24 +427,27 @@ class _Refusal(Exception):
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
-    """Write ``chunks`` in order to the file ``out``, or to stdout.  A reader
-    that closes stdout early (``| head``) ends the writing, not the run."""
-    if out:
-        try:
+    """Write ``chunks`` in order to the file ``out``, or to stdout when
+    ``out`` is None.  A reader that closes stdout early (``| head``) ends the
+    writing, not the run; any other write fault refuses the run."""
+    try:
+        if out is None:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        else:
             with open(out, "w", encoding="utf-8") as stream:
                 stream.writelines(chunks)
-        except OSError as exc:
-            raise _Refusal(f"cannot write {out!r}: {exc.strerror or exc}") from None
-        return
-    try:
-        sys.stdout.writelines(chunks)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # What is still buffered goes to the null device at exit, so the
-        # interpreter's last flush finds no closed pipe to complain about.
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, sys.stdout.fileno())
-        os.close(null)
+    except OSError as exc:
+        if out is None:
+            # What is still buffered goes to the null device at exit, so the
+            # interpreter's last flush finds nothing to complain about.
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            if isinstance(exc, BrokenPipeError):
+                return
+        name = "stdout" if out is None else repr(out)
+        raise _Refusal(f"cannot write {name}: {exc.strerror or exc}") from None
 
 
 def _load(name: str) -> Logic:
@@ -476,47 +463,45 @@ def _run_file_command(args: argparse.Namespace) -> int:
     """Load and analyse every file, then write all reports as one document.
 
     Nothing is written before the last file's report is built, so a refused
-    run prints nothing and creates no ``--out`` file.  A ``--list`` report's
-    states are formatted only while the document is written, a block at a
-    time (``_Listing``); any other document is joined and written at once.
+    run prints nothing and creates no ``--out`` file.  The document, text or
+    JSON, is one list of pieces: strings, and in a ``--list`` run the block
+    iterator of each listing, whose states are formatted only while the
+    document is written (``_Listing``).  A ``--list`` document is written
+    as string runs and listing blocks in turn; any other is joined and
+    written at once.
     """
     reports: list[dict] = []
-    blocks: list = []
+    pieces: list = []
     negatives = 0
+    as_json = getattr(args, "json", False)
+    indent = "  " if len(args.files) > 1 else ""
     for name in args.files:
         try:
             doc, lines, negative = args.report(_load(name), args)
         except LogicError as exc:
             raise _Refusal(f"{name}: {exc}") from None
-        doc = {"file": name, **doc}
-        reports.append(doc)
-        if len(args.files) > 1:
-            blocks.append(f"{name}:")
-            blocks.extend(
-                "  " + line if isinstance(line, str) else _Listing(line.codes, line.width, "  ")
-                for line in lines
-            )
-        else:
-            blocks.extend(lines)
+        reports.append({"file": name, **doc})
         if negative:
             negatives += 1
+        if as_json:
+            continue
+        if indent:
+            pieces.append(f"{name}:\n")
+        pieces.extend(
+            indent + line + "\n" if isinstance(line, str) else line.text(indent) for line in lines
+        )
 
-    if len(args.files) > 1:
-        blocks.append(f"{len(args.files)} files, {negatives} with adverse findings")
-
-    listed = getattr(args, "list", False)
-    if getattr(args, "json", False):
+    if as_json:
         payload = {
             "command": args.command,
             "reports": reports,
             "summary": {"files": len(args.files), "negative_findings": negatives},
         }
-        chunks = _json_chunks(payload, listed)
-    elif listed:
-        chunks = _joined([line + "\n" if isinstance(line, str) else line.text() for line in blocks])
-    else:
-        chunks = ("\n".join(blocks) + "\n",)
-    _emit(chunks, args.out)
+        _write_json(payload, pieces, "\n")
+        pieces.append("\n")
+    elif indent:
+        pieces.append(f"{len(args.files)} files, {negatives} with adverse findings\n")
+    _emit(_joined(pieces) if getattr(args, "list", False) else ("".join(pieces),), args.out)
 
     if getattr(args, "strict", False) and negatives:
         return 1

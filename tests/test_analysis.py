@@ -370,6 +370,30 @@ class TestEnumerateStates:
         assert report.codes == () and report.empty
         assert peak - before < 2**20
 
+    def test_unreached_component_is_not_listed_beside_live_ones(self):
+        """A logic with one state, whose dead branch solves star7 beside an
+        odd triangle.  An atom ``y`` joins every star7 context and the
+        triangle's, and a context ``r`` holds ``x`` and ``y``: ``y`` true is
+        the one state, and ``x`` true leaves star7's 326 592 states beside a
+        triangle with none.  Listing them peaked at about 15 MiB."""
+        star = make_star(7)
+        triangle = ("t0", "t1"), ("t1", "t2"), ("t2", "t0")
+        contexts = [Context(c.label, (*c.members, "y")) for c in star.contexts]
+        contexts += [Context(f"t{i}", (*pair, "y")) for i, pair in enumerate(triangle)]
+        contexts.append(Context("r", ("x", "y")))
+        atoms = star.atoms + tuple(Atom(label) for label in ("t0", "t1", "t2", "x", "y"))
+        logic = Logic(8, atoms, tuple(contexts))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = enumerate_states(logic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.count == 1
+        assert [s.true_atoms for s in report.states] == [("y",)]
+        assert peak - before < 2**20
+
     def test_agrees_with_oracles_on_random_logics(
         self, oracle_bitmask, oracle_choices, random_logic
     ):

@@ -261,13 +261,38 @@ class TestExitCodes:
         assert err.startswith("error:") and "utf-8" in err
 
     def test_unwritable_out(self, capsys, tmp_path):
-        target = tmp_path / "missing" / "report.txt"
-        code, out, err = run_cli(
-            capsys, "states", "--out", str(target), path_of("gamma1.gls")
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: cannot write")
+        for target in (str(tmp_path / "missing" / "report.txt"), ""):
+            code, out, err = run_cli(
+                capsys, "states", "--out", target, path_of("gamma1.gls")
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: cannot write")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", path_of("gamma1.gls")),
+            ("states", "--list", "--json", path_of("star4.gls")),
+            ("dot", path_of("gamma1.gls")),
+            ("star", "5"),
+        ],
+        ids=["text", "listing", "dot", "star"],
+    )
+    def test_unwritable_stdout(self, argv):
+        """A stdout that takes no bytes refuses the run as an unwritable
+        ``--out`` does: one error line, exit 2, and a quiet final flush."""
+        paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "greechie.cli", *argv],
+                env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+            )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: cannot write")
+        assert result.stderr.count("\n") == 1, result.stderr
 
     def test_unknown_subcommand(self, capsys):
         assert run_cli(capsys, "frobnicate", "x.gls")[0] == 2
@@ -696,21 +721,28 @@ def _json_document(rng: random.Random, depth: int = 0):
     return _json_scalar(rng)
 
 
+def json_text(payload: dict) -> str:
+    """The document ``cli._write_json`` writes for ``payload`` from the top."""
+    chunks: list = []
+    cli._write_json(payload, chunks, "\n")
+    return "".join(chunks)
+
+
 class TestJsonWriter:
-    """``cli._json_text`` against ``json.dumps(..., indent=2, sort_keys=True)``."""
+    """``cli._write_json`` against ``json.dumps(..., indent=2, sort_keys=True)``."""
 
     def test_seeded_documents(self):
         rng = random.Random(2007)
         for _ in range(600):
             doc = {"reports": [_json_document(rng)], "summary": _json_document(rng)}
-            assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+            assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("value", [{1, 2}, numpy.bool_(True), b"bytes", object()])
     def test_rejects_what_json_rejects(self, value):
         with pytest.raises(TypeError):
             json.dumps({"a": value})
         with pytest.raises(TypeError):
-            cli._json_text({"a": value})
+            json_text({"a": value})
 
     @pytest.mark.parametrize(
         "argv",
@@ -719,13 +751,14 @@ class TestJsonWriter:
     )
     def test_quantum_reports_match_the_stdlib(self, capsys, monkeypatch, argv):
         payloads = []
-        write = cli._json_chunks
+        write = cli._write_json
 
-        def spy(payload, listed):
-            payloads.append(payload)
-            return write(payload, listed)
+        def spy(value, chunks, newline):
+            if newline == "\n":  # the document, not a value nested in it
+                payloads.append(value)
+            write(value, chunks, newline)
 
-        monkeypatch.setattr(cli, "_json_chunks", spy)
+        monkeypatch.setattr(cli, "_write_json", spy)
         code, out, _ = run_cli(capsys, *argv)
         if code == 2:  # an abstract corpus file has no rays to confront
             assert payloads == []
@@ -884,9 +917,38 @@ class _Discard(io.TextIOBase):
 LIST_MODES = pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
 
 
+class _CountedWrites(io.StringIO):
+    """A text stream that counts the writes it is given."""
+
+    writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
+
+
 class TestStreamedListing:
     """``states --list`` holds the state codes and writes their bit strings a
     block at a time, after every file is analysed."""
+
+    @pytest.mark.parametrize(
+        "argv, writes",
+        [
+            (("quantum", "--json", path_of("gamma3pair.gls")), 1),
+            (("dual", path_of("gamma1.gls")), 1),
+            (("states", "--list", "STAR5"), 4),
+        ],
+        ids=["quantum-json", "dual", "star5-list"],
+    )
+    def test_document_without_a_listing_is_one_write(self, tmp_path, argv, writes):
+        """A document is joined and written at once unless it lists states;
+        star5's 1 280 states take two blocks between the text around them."""
+        star5 = tmp_path / "star5.gls"
+        star5.write_text(serialize_logic(make_star(5)), encoding="utf-8")
+        stream = _CountedWrites()
+        with contextlib.redirect_stdout(stream):
+            code = main([str(star5) if arg == "STAR5" else arg for arg in argv])
+        assert (code, stream.writes) == (0, writes)
 
     @LIST_MODES
     def test_peak_memory_stays_near_the_codes(self, star7, mode):
