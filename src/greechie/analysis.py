@@ -573,8 +573,10 @@ class ParityCertificate:
 
 def parity_obstruction(logic: Logic) -> ParityCertificate | None:
     """Return a parity certificate if one exists, else None."""
+    if len(logic.contexts) % 2 == 0:
+        return None
     counts = sorted((x, len(owners)) for x, owners in logic.contexts_of.items())
-    if len(logic.contexts) % 2 == 1 and all(k % 2 == 0 for _, k in counts):
+    if all(k % 2 == 0 for _, k in counts):
         return ParityCertificate(len(logic.contexts), tuple(counts))
     return None
 
@@ -607,13 +609,15 @@ def infer_collapses(logic: Logic) -> CollapseReport:
 
     Orthogonality is taken combinatorially: x is orthogonal to y when they
     share a context.  Whenever two distinct atoms are both orthogonal to a
-    common set of d-1 mutually orthogonal atoms they are forced onto the
-    same ray and merged; merging can create new forced pairs, so the scan
-    repeats until nothing merges.  The witnesses are the (d-1)-subsets of
-    the maximal cliques, in lexicographic order, and the atoms orthogonal to
-    all of a witness are the rest of the maximal cliques containing it.
-    Sound but deliberately incomplete: a logic may be unrealizable in
-    dimension d without triggering any merge.
+    common set of d-1 mutually orthogonal atoms, the witness, they are
+    forced onto the same ray and merged; merging can create new forced
+    pairs, so the scan repeats until nothing merges.  A round visits only
+    the witnesses with two or more common neighbours, in lexicographic
+    order (``_shared_witnesses``), and merges the first common neighbour
+    with each later one it is not yet merged with; after that they are all
+    one atom, so no other pair of them can merge.  Labels are read off the
+    masks only for those witnesses.  Sound but deliberately incomplete: a
+    logic may be unrealizable in dimension d without triggering any merge.
     """
     d, labels = logic.dimension, logic.labels
     parent: dict[str, str] = {a.label: a.label for a in logic.atoms}
@@ -627,28 +631,24 @@ def infer_collapses(logic: Logic) -> CollapseReport:
         return root
 
     found: list[Identification] = []
+    # find is the identity until the first merge
+    groups: Iterable[Iterable[str]] = (c.members for c in logic.contexts)
     merged = True
     while merged:
         merged = False
-        extensions: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-        groups = ({find(m) for m in c.members} for c in logic.contexts)
         _, closed, _ = _orthogonality_graph(labels, groups)
-        for clique in _maximal_cliques(labels, closed):
-            if len(clique) < d - 1:
-                continue  # no witness; combinations() would reserve d-1 slots
-            for witness in itertools.combinations(clique, d - 1):
-                extensions.setdefault(witness, []).append(clique)
-        for witness in sorted(extensions):
-            commons = sorted(set().union(*extensions[witness]).difference(witness))
-            for x, y in itertools.combinations(commons, 2):
+        for witness, common in _shared_witnesses(closed, d - 1):
+            x, *rest = _labels_of(common, labels)
+            for y in rest:
                 rx, ry = find(x), find(y)
                 if rx == ry:
                     continue
-                found.append(Identification(pair=tuple(sorted((x, y))), witness=witness))
+                found.append(Identification(pair=(x, y), witness=_labels_of(witness, labels)))
                 if ry < rx:
                     rx, ry = ry, rx
                 parent[ry] = rx
                 merged = True
+        groups = ({find(m) for m in c.members} for c in logic.contexts)
 
     found.sort(key=lambda ident: ident.pair)
     return CollapseReport(dimension=d, forced_identifications=tuple(found))
@@ -682,8 +682,14 @@ def _orthogonality_graph(
 
 def _maximal_cliques(labels: Sequence[str], closed: Sequence[int]) -> list[tuple[str, ...]]:
     """Every maximal clique of a graph from ``_orthogonality_graph`` as a
-    sorted label tuple, in sorted order; its vertices are the bits with a
-    nonzero closed neighbourhood.
+    sorted label tuple, in sorted order (``_clique_masks`` finds them)."""
+    return sorted(_labels_of(clique, labels) for clique in _clique_masks(closed))
+
+
+def _clique_masks(closed: Sequence[int]) -> list[int]:
+    """Every maximal clique of a graph from ``_orthogonality_graph`` as a
+    mask, in no particular order; its vertices are the bits with a nonzero
+    closed neighbourhood, and the empty graph has one maximal clique, 0.
 
     The root follows Eppstein, Löffler and Strash (ISAAC 2010): it searches
     from each vertex in turn, with its later neighbours as candidates and
@@ -692,13 +698,15 @@ def _maximal_cliques(labels: Sequence[str], closed: Sequence[int]) -> list[tuple
     edge.  A vertex whose candidates all neighbour one excluded vertex
     starts no search: every clique it could grow extends by that vertex.
     Below the root runs Bron and Kerbosch's search (CACM Algorithm 457) on
-    an explicit stack, so large cliques meet no recursion limit; candidates
-    and excluded vertices are masks.  A node branches on its candidates
-    outside the neighbourhood of its pivot, the lowest bit of
-    candidates | excluded.
+    an explicit stack, so large cliques meet no recursion limit; the
+    clique, candidates and excluded vertices are masks.  A node whose
+    candidates are all adjacent ends at once: it reports the clique with
+    all of them unless an excluded vertex neighbours every one.  Any other
+    node branches on its candidates outside the neighbourhood of its pivot,
+    the lowest bit of candidates | excluded.
     """
-    cliques: list[tuple[str, ...]] = []
-    stack: list[tuple[tuple[str, ...], int, int]] = []
+    cliques: list[int] = []
+    stack: list[tuple[int, int, int]] = []
     order = sorted(
         (bit for bit, mask in enumerate(closed) if mask), key=lambda bit: closed[bit].bit_count()
     )
@@ -712,13 +720,20 @@ def _maximal_cliques(labels: Sequence[str], closed: Sequence[int]) -> list[tuple
         while blocker and candidates & ~closed[(blocker & -blocker).bit_length() - 1]:
             blocker &= blocker - 1
         if not blocker:
-            # bit b is labels[n-1-b]
-            stack.append(((labels[-bit - 1],), candidates, excluded))
+            stack.append((v, candidates, excluded))
     while stack:
         clique, candidates, excluded = stack.pop()
-        if not candidates:
-            if not excluded:
-                cliques.append(tuple(sorted(clique)))
+        rest, beyond = candidates, excluded
+        while rest:
+            v = rest & -rest
+            neighbours = closed[v.bit_length() - 1]
+            if candidates & ~neighbours:
+                break
+            beyond &= neighbours
+            rest ^= v
+        else:  # the candidates are one clique: it is the node's only one
+            if not beyond:
+                cliques.append(clique | candidates)
             continue
         pivot = (candidates | excluded) & -(candidates | excluded)
         branch = candidates & ~(closed[pivot.bit_length() - 1] ^ pivot)
@@ -727,11 +742,79 @@ def _maximal_cliques(labels: Sequence[str], closed: Sequence[int]) -> list[tuple
             branch ^= v
             candidates ^= v
             neighbours = closed[v.bit_length() - 1]
-            # v.bit_length() is b+1
-            stack.append((clique + (labels[-v.bit_length()],), candidates & neighbours,
-                          excluded & neighbours))
+            stack.append((clique | v, candidates & neighbours, excluded & neighbours))
             excluded |= v
-    return sorted(cliques) or [()]  # the empty graph's one maximal clique
+    return cliques or [0]
+
+
+def _shared_witnesses(closed: Sequence[int], k: int) -> list[tuple[int, int]]:
+    """Every k-clique W of a graph from ``_orthogonality_graph`` that has two
+    or more common neighbours, with the mask of those neighbours, in
+    descending order of W; for masks of k bits that is the lexicographic
+    order of the sorted label tuples.
+
+    With common neighbours x and y, W + x lies in a maximal clique C of more
+    than k members, so only the k-subsets of those are tried.  W's common
+    neighbours are the rest of C and the AND of its members' neighbourhoods
+    outside C.  When C has k + 1 members, the candidates are the sets C - v,
+    and one counts only if that AND is not empty (then W is C's
+    intersection with another maximal clique); prefix and suffix ANDs give
+    all of them with a few mask operations per member.  A larger C is
+    walked depth first, carrying the AND of the members chosen so far, so
+    subsets that share a prefix share its ANDs; a node that must add one
+    more member, or leave out one of the rest, ends in a loop over the rest.
+    """
+    shared: dict[int, int] = {}
+    for clique in _clique_masks(closed):
+        members: list[tuple[int, int]] = []  # (bit, its neighbours outside C)
+        rest = clique
+        while rest:
+            v = rest & -rest
+            members.append((v, closed[v.bit_length() - 1] & ~clique))
+            rest ^= v
+        m = len(members)
+        if m <= k:
+            continue
+        suffix = [-1]  # suffix[j]: the AND over members[j:]
+        for _, out in reversed(members):
+            suffix.append(suffix[-1] & out)
+        suffix.reverse()
+        if m == k + 1:
+            prefix = -1
+            for (v, out), after in zip(members, suffix[1:]):
+                if prefix & after:
+                    shared[clique ^ v] = v | prefix & after
+                prefix &= out
+                if not prefix:
+                    break  # every later C - v has these members
+            continue
+        stack = [(0, k, 0, -1)]  # next member, members still to add, chosen, their AND
+        while stack:
+            i, need, chosen, outside = stack.pop()
+            if need == 1:
+                for v, out in members[i:]:
+                    shared[chosen | v] = clique ^ chosen ^ v | outside & out
+            elif need == m - i - 1:
+                tail = clique & -members[i][0]
+                for (v, out), after in zip(members[i:], suffix[i + 1:]):
+                    shared[chosen | tail ^ v] = clique ^ chosen ^ tail ^ v | outside & after
+                    outside &= out
+            else:
+                v, out = members[i]
+                stack.append((i + 1, need, chosen, outside))
+                stack.append((i + 1, need - 1, chosen | v, outside & out))
+    return sorted(shared.items(), reverse=True)
+
+
+def _labels_of(mask: int, labels: Sequence[str]) -> tuple[str, ...]:
+    """The labels of a mask's bits, in label order (bit b is labels[n-1-b])."""
+    n = len(labels)
+    found = []
+    while mask:
+        top = mask.bit_length() - 1
+        found.append(labels[n - 1 - top])
+        mask ^= 1 << top
+    return tuple(found)
 
 
 # --------------------------------------------------------------------------

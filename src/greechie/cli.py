@@ -15,6 +15,7 @@ listing is formatted and written ``LISTING_BLOCK`` states at a time.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import sys
@@ -429,7 +430,10 @@ class _Refusal(Exception):
 def _emit(chunks: Iterable[str], out: str | None) -> None:
     """Write ``chunks`` in order to the file ``out``, or to stdout when
     ``out`` is None.  A reader that closes stdout early (``| head``) ends the
-    writing, not the run; any other write fault refuses the run."""
+    writing, not the run; any other write fault refuses the run, as does a
+    stdout that was closed before the run started (``sys.stdout`` is None)."""
+    if out is None and sys.stdout is None:
+        raise _Refusal(f"cannot write stdout: {os.strerror(errno.EBADF)}")
     try:
         if out is None:
             sys.stdout.writelines(chunks)

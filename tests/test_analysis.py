@@ -8,9 +8,13 @@ import tracemalloc
 
 import pytest
 
+from conftest import cliques_in_order
 from greechie.analysis import (
+    Identification,
     StateSummary,
+    _labels_of,
     _maximal_cliques,
+    _shared_witnesses,
     complete_contexts,
     derive_rules,
     enumerate_states,
@@ -779,7 +783,8 @@ class TestInferCollapses:
 
     def test_one_large_context_keeps_memory_small(self):
         """One 1 200-member context in dimension 1 200.  A neighbour set per
-        atom peaked at about 75 MiB of allocations here; int masks need 12."""
+        atom peaked at about 75 MiB of allocations here, int masks with a
+        label tuple per witness at 12, and masks alone need under 1."""
         labels = [f"x{i}" for i in range(1200)]
         logic = Logic(1200, [Atom(x) for x in labels], [Context("a", labels)])
         tracemalloc.start()
@@ -790,6 +795,41 @@ class TestInferCollapses:
         finally:
             tracemalloc.stop()
         assert peak - before < 40 * 2**20
+
+    def test_two_large_contexts_force_one_identification(self):
+        """Two 1 200-member contexts sharing 1 199 atoms in dimension 1 200:
+        the shared atoms witness the one identification, of the two others."""
+        logic = large_contexts(1200, 2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = infer_collapses(logic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 40 * 2**20
+        assert report.forced_identifications == (
+            Identification(pair=("y0", "y1"), witness=tuple(f"x{i:04d}" for i in range(1199))),
+        )
+
+
+def large_contexts(n: int, count: int) -> Logic:
+    """README's stress shapes in dimension n: one n-member context (count 1),
+    or two that share the n-1 atoms x0000.. and differ in y0 and y1."""
+    shared = [f"x{i:04d}" for i in range(n - 1)]
+    ends = [f"y{j}" for j in range(count)]
+    return make_logic(n, [Atom(x) for x in shared + ends], [shared + [y] for y in ends])
+
+
+def dense_collapse_logic(rng: random.Random, dim: int) -> Logic:
+    """Distinct contexts of ``dim`` members over at most 2 * dim atoms: their
+    orthogonality graph often has maximal cliques of more than ``dim``
+    members, and maximal cliques that share dim-1 atoms."""
+    labels = [f"x{i:02d}" for i in range(rng.randint(dim + 1, 2 * dim))]
+    member_sets = {frozenset(rng.sample(labels, dim)) for _ in range(rng.randint(2, 2 * dim))}
+    contexts = sorted(tuple(sorted(ms)) for ms in member_sets)
+    used = sorted(set().union(*member_sets))
+    return make_logic(dim, [Atom(lbl) for lbl in used], contexts)
 
 
 def staged_collapse_logic(dim: int, stages: int) -> Logic:
@@ -855,6 +895,33 @@ class TestCollapseOracle:
         logic = corpus["tight3.gls"]
         assert not found_after_first_round(logic, infer_collapses(logic))
 
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_dense_logics(self, dim, oracle_collapse):
+        rng = random.Random(f"dense-collapse-{dim}")
+        larger = shared = merged = 0
+        for _ in range(60):
+            logic = dense_collapse_logic(rng, dim)
+            report = infer_collapses(logic)
+            assert report == oracle_collapse(logic)
+            adjacency: dict[str, set[str]] = {x: set() for x in logic.labels}
+            for x, y in map(tuple, orthogonality_edges(logic)):
+                adjacency[x].add(y)
+                adjacency[y].add(x)
+            cliques = _maximal_cliques(*closed_masks(adjacency))
+            larger += any(len(c) > dim for c in cliques)
+            shared += any(
+                len(set(a) & set(b)) == dim - 1 for a, b in itertools.combinations(cliques, 2)
+            )
+            merged += bool(report.forced_identifications)
+        assert min(larger, shared, merged) >= 10, (larger, shared, merged)
+
+    @pytest.mark.parametrize("count", [1, 2], ids=["one-context", "two-contexts"])
+    def test_large_context_shapes(self, count, oracle_collapse):
+        logic = large_contexts(8, count)
+        report = infer_collapses(logic)
+        assert report == oracle_collapse(logic)
+        assert len(report.forced_identifications) == count - 1
+
 
 def closed_masks(adjacency):
     """Sorted labels and, per bit, the closed neighbourhood mask of a graph
@@ -896,6 +963,28 @@ class TestMaximalCliques:
         contexts, adjacency = self.chain_graph(400)
         expected = sorted(tuple(sorted(ctx)) for ctx in contexts)
         assert _maximal_cliques(*closed_masks(adjacency)) == expected
+
+
+class TestSharedWitnesses:
+    def test_agrees_with_subset_scan(self, random_graph):
+        """Every k-clique with two or more common neighbours, those
+        neighbours, and the lexicographic order, against the k-subset scan."""
+        rng = random.Random(23)
+        for _ in range(300):
+            adjacency = random_graph(rng)
+            labels, closed = closed_masks(adjacency)
+            k = rng.randint(1, 5)
+            expected = []
+            for witness in cliques_in_order(labels, adjacency, k):
+                commons = [z for z in labels if z not in witness
+                           and all(z in adjacency[w] for w in witness)]
+                if len(commons) >= 2:
+                    expected.append((witness, tuple(commons)))
+            found = [
+                (_labels_of(witness, labels), _labels_of(common, labels))
+                for witness, common in _shared_witnesses(closed, k)
+            ]
+            assert found == expected
 
 
 class TestMakeStar:

@@ -294,6 +294,26 @@ class TestExitCodes:
         assert result.stderr.startswith("error: cannot write")
         assert result.stderr.count("\n") == 1, result.stderr
 
+    @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 and execs the CLI")
+    @pytest.mark.parametrize(
+        "argv",
+        [("check", path_of("gamma1.gls")), ("states", "--list", path_of("star4.gls")), ("star", "3")],
+        ids=["text", "listing", "star"],
+    )
+    def test_closed_stdout(self, argv):
+        """With fd 1 closed at start Python sets ``sys.stdout`` to None; the
+        run is refused like any other unwritable stdout."""
+        paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        code = "import os, sys; os.close(1); os.execv(sys.executable, sys.argv[1:])"
+        result = subprocess.run(
+            [sys.executable, "-c", code, sys.executable, "-m", "greechie.cli", *argv],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: cannot write stdout: ")
+        assert result.stderr.count("\n") == 1, result.stderr
+
     def test_unknown_subcommand(self, capsys):
         assert run_cli(capsys, "frobnicate", "x.gls")[0] == 2
 
