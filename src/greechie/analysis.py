@@ -28,12 +28,12 @@ from typing import Iterable, Mapping, Sequence
 from .model import (
     AbstractLogicError,
     Atom,
-    Context,
     Logic,
     LogicError,
     Ray,
     _spreadsheet_label,
     collinear_classes,
+    make_logic,
     orthogonal,
     quote_token,
 )
@@ -139,12 +139,8 @@ def complete_contexts(vectors: Iterable[tuple[str, Ray]], dimension: int) -> Log
             f"ray {quote_token(isolated[0])} is orthogonal to no other ray and can join no context"
         )
 
-    atoms = tuple(Atom(lbl, rays[lbl]) for lbl in labels)
-    cliques = _maximal_cliques(labels, closed)
-    contexts = tuple(Context(_spreadsheet_label(i), c) for i, c in enumerate(cliques))
-    logic = Logic(dimension, atoms, contexts)
-    logic.validate()
-    return logic
+    atoms = (Atom(lbl, rays[lbl]) for lbl in labels)
+    return make_logic(dimension, atoms, _maximal_cliques(labels, closed))
 
 
 # --------------------------------------------------------------------------
@@ -533,17 +529,13 @@ def derive_rules(report: StateSummary, logic: Logic) -> RuleSet:
             explosion=True,
         )
 
-    def named(mask: int) -> Iterable[str]:
-        while mask:
-            atom = mask & -mask
-            yield labels[-atom.bit_length()]  # bit b is labels[n-1-b]
-            mask ^= atom
-
     everyone = (1 << len(labels)) - 1
     possible = [(x, u, i) for x, u, i in zip(labels, report.union, report.inter) if u]
-    one_one = frozenset((x, y) for x, _, inter in possible for y in named(inter))
+    one_one = frozenset((x, y) for x, _, inter in possible for y in _labels_of(inter, labels))
     return RuleSet(
-        one_zero=frozenset((x, y) for x, union, _ in possible for y in named(everyone & ~union)),
+        one_zero=frozenset(
+            (x, y) for x, union, _ in possible for y in _labels_of(everyone & ~union, labels)
+        ),
         one_one=one_one,
         equivalences=frozenset(
             frozenset((x, y)) for x, y in one_one if x < y and (y, x) in one_one
@@ -833,11 +825,9 @@ def make_star(d: int) -> Logic:
     legs = [_spreadsheet_label(i + 1) for i in range(d)]
     links = ["a" + leg for leg in legs]
     atoms: list[Atom] = [Atom(name) for name in links]
-    contexts: list[Context] = [Context("a", tuple(links))]
+    contexts: list[list[str]] = [links]
     for leg, link in zip(legs, links):
         fresh = [f"{leg}{i}" for i in range(1, d)]
         atoms.extend(Atom(name) for name in fresh)
-        contexts.append(Context(leg, (link, *fresh)))
-    logic = Logic(d, tuple(atoms), tuple(contexts))
-    logic.validate()
-    return logic
+        contexts.append([link, *fresh])
+    return make_logic(d, atoms, contexts)

@@ -15,6 +15,7 @@ listing is formatted and written ``LISTING_BLOCK`` states at a time.
 from __future__ import annotations
 
 import argparse
+import decimal
 import errno
 import functools
 import os
@@ -28,6 +29,12 @@ from .model import Logic, LogicError, format_quad, inner_product, quote_token
 
 def _fmt(value: float) -> str:
     return format(round(value, 9) + 0.0, ".9f")
+
+
+def _digits(value: int) -> str:
+    """An int in full: unlike ``str``, ``Decimal`` is not held to the
+    interpreter's limit on digits converted (4 300 by default)."""
+    return str(decimal.Decimal(value))
 
 
 # --------------------------------------------------------------------------
@@ -76,7 +83,7 @@ def _report_check(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[st
 def _report_states(logic: Logic, args: argparse.Namespace) -> tuple[dict, list, bool]:
     report = (analysis.enumerate_states if args.list else analysis.summarize_states)(logic)
     if args.count_only and not args.json:
-        return {}, [str(report.count)], report.empty
+        return {}, [_digits(report.count)], report.empty
     doc: dict[str, Any] = {
         "count": report.count,
         "empty": report.empty,
@@ -85,7 +92,7 @@ def _report_states(logic: Logic, args: argparse.Namespace) -> tuple[dict, list, 
         "labels": list(logic.labels),
     }
     lines = [
-        f"count={report.count} empty={report.empty} "
+        f"count={_digits(report.count)} empty={report.empty} "
         f"unital={report.unital} separating={report.separating}"
     ]
     if args.list:
@@ -237,13 +244,8 @@ def _report_quantum(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[
             if label not in logic.atom_map:
                 raise LogicError(f"no atom labeled {quote_token(label)}")
         prediction = qm.joint_probability(pair, logic.ray_of(x), logic.ray_of(y))
-        probs = {
-            "prob_both": prediction.prob_both,
-            "marginal_left": prediction.marginal_left,
-            "marginal_right": prediction.marginal_right,
-        }
-        row = qm.confront(rules, x, y, **probs)
-        doc = {**vars(row), **probs}
+        row = qm.confront(rules, x, y, prediction)
+        doc = {**vars(row), **vars(prediction)}
         if row.classical is None:
             line = f"pair ({x},{y}): no classical rule, quantum {_fmt(row.quantum)}"
         else:
@@ -270,8 +272,19 @@ def _pair_argument(text: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Help for stdout goes through ``_emit``, so a help that cannot be
+    written refuses the run; argparse's own write drops the fault."""
+
+    def print_help(self, file=None) -> None:
+        if file is None:
+            _emit([self.format_help()], None)
+        else:
+            super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="greechie",
         description="Verify and analyze finite quantum logics stored in .gls files.",
     )
@@ -387,8 +400,8 @@ def _write_json(value: Any, chunks: list, newline: str) -> None:
         inner = newline + "  "
         separator, opening = "," + inner, "[" + inner
         for item in value:
-            # A string item is one chunk: no call, and half the chunks on a
-            # state list, which keeps the peak at the stdlib's.
+            # A string item is one chunk: no call, and half the chunks on
+            # the label and pair lists that make up most documents.
             if isinstance(item, str):
                 chunks.append(opening + encode_basestring_ascii(item))
             else:
@@ -403,7 +416,7 @@ def _write_json(value: Any, chunks: list, newline: str) -> None:
     elif value is False:
         chunks.append("false")
     elif isinstance(value, int):
-        chunks.append(int.__repr__(value))
+        chunks.append(_digits(value))
     elif isinstance(value, float):
         if value != value:
             chunks.append("NaN")
@@ -529,10 +542,9 @@ def _run_star(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.run(args)
     except _Refusal as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

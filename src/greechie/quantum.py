@@ -25,8 +25,6 @@ from .model import Context, Logic, LogicError, Ray, quote_token
 
 PROB_TOL = 1e-9
 
-ClassicalBound = Literal["zero", "equal", "unconstrained"]
-
 
 @dataclass(frozen=True, eq=False)
 class EntangledPair:
@@ -48,12 +46,12 @@ class EntangledPair:
 
 @dataclass(frozen=True)
 class JointPrediction:
-    """Probabilities for one ray pair, with the classical rule they face."""
+    """The quantum probabilities for one ray pair, refused unless prob_both
+    lies in [0, min(marginals)] up to the tolerance."""
 
     prob_both: float
     marginal_left: float
     marginal_right: float
-    classical_bound: ClassicalBound
 
     def __post_init__(self) -> None:
         low = -PROB_TOL
@@ -102,7 +100,6 @@ def joint_probability(
     pair: EntangledPair,
     a: Ray | Sequence[float],
     b: Ray | Sequence[float],
-    classical_bound: ClassicalBound = "unconstrained",
 ) -> JointPrediction:
     """Probability that both sides give 1 when side one measures along a and
     side two along b, by contracting P_a (x) P_b against the state: the
@@ -110,7 +107,7 @@ def joint_probability(
     """
     d = pair.dimension
     probs = _contract(pair, unit_vector(a, d)[None], unit_vector(b, d)[None])
-    return JointPrediction(*probs[0].tolist(), classical_bound=classical_bound)
+    return JointPrediction(*probs[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -126,16 +123,9 @@ class FalsificationRow:
     violated: bool
 
 
-def confront(
-    rules: RuleSet,
-    x: str,
-    y: str,
-    prob_both: float,
-    marginal_left: float,
-    marginal_right: float,
-) -> FalsificationRow:
-    """Classify the pair (x, y) against the rules and hold its probabilities
-    against the classical bound.
+def confront(rules: RuleSet, x: str, y: str, prediction: JointPrediction) -> FalsificationRow:
+    """Classify the pair (x, y) against the rules and hold its prediction,
+    already checked against its bound, against the classical figure.
 
     A one-zero rule (x, y) classically forbids both outcomes occurring, so
     its classical joint probability is 0; quantum gives prob_both(x, y).  An
@@ -145,14 +135,13 @@ def confront(
     violated when the quantum value exceeds the tolerance.
     """
     if (x, y) in rules.one_zero:
-        kind, bound = "one-zero", "zero"
+        kind = "one-zero"
     elif frozenset((x, y)) in rules.equivalences:
-        kind, bound = "equivalence", "equal"
+        kind = "equivalence"
     else:
-        kind, bound = "unconstrained", "unconstrained"
-    # Raises when prob_both leaves [0, min(marginals)].
-    JointPrediction(prob_both, marginal_left, marginal_right, bound)
-    quantum = marginal_left - prob_both if kind == "equivalence" else prob_both
+        kind = "unconstrained"
+    prob_both = prediction.prob_both
+    quantum = prediction.marginal_left - prob_both if kind == "equivalence" else prob_both
     classical = None if kind == "unconstrained" else 0.0
     violated = classical is not None and quantum > PROB_TOL
     return FalsificationRow(kind, (x, y), classical, quantum, violated)
@@ -186,7 +175,9 @@ def falsification_report(
         units[[index[x] for x, _ in pairs]],
         units[[index[y] for _, y in pairs]],
     )
-    return tuple(confront(rules, x, y, *p) for (x, y), p in zip(pairs, probs.tolist()))
+    return tuple(
+        confront(rules, x, y, JointPrediction(*p)) for (x, y), p in zip(pairs, probs.tolist())
+    )
 
 
 def context_completeness(

@@ -29,7 +29,7 @@ from greechie.analysis import CollapseReport, Identification
 from greechie.diagrams import DualEdge, DualGraph
 from greechie.gls import CORPUS_FILES, load_corpus
 from greechie.model import Atom, Context, Logic, Quad, Ray
-from greechie.quantum import ClassicalBound, EntangledPair, JointPrediction, unit_vector
+from greechie.quantum import EntangledPair, JointPrediction, unit_vector
 
 
 # --------------------------------------------------------------------------
@@ -260,7 +260,6 @@ def kron_joint_probability(
     pair: EntangledPair,
     a: Ray | Sequence[float],
     b: Ray | Sequence[float],
-    classical_bound: ClassicalBound = "unconstrained",
 ) -> JointPrediction:
     """One ray pair, contracted through three d^2 x d^2 Kronecker products."""
     d = pair.dimension
@@ -278,7 +277,6 @@ def kron_joint_probability(
         prob_both=expectation(proj_a, proj_b),
         marginal_left=expectation(proj_a, identity),
         marginal_right=expectation(identity, proj_b),
-        classical_bound=classical_bound,
     )
 
 

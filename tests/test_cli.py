@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import decimal
 import hashlib
 import io
 import json
@@ -277,8 +278,10 @@ class TestExitCodes:
             ("states", "--list", "--json", path_of("star4.gls")),
             ("dot", path_of("gamma1.gls")),
             ("star", "5"),
+            ("--help",),
+            ("states", "--help"),
         ],
-        ids=["text", "listing", "dot", "star"],
+        ids=["text", "listing", "dot", "star", "help", "states-help"],
     )
     def test_unwritable_stdout(self, argv):
         """A stdout that takes no bytes refuses the run as an unwritable
@@ -297,8 +300,14 @@ class TestExitCodes:
     @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 and execs the CLI")
     @pytest.mark.parametrize(
         "argv",
-        [("check", path_of("gamma1.gls")), ("states", "--list", path_of("star4.gls")), ("star", "3")],
-        ids=["text", "listing", "star"],
+        [
+            ("check", path_of("gamma1.gls")),
+            ("states", "--list", path_of("star4.gls")),
+            ("star", "3"),
+            ("--help",),
+            ("states", "--help"),
+        ],
+        ids=["text", "listing", "star", "help", "states-help"],
     )
     def test_closed_stdout(self, argv):
         """With fd 1 closed at start Python sets ``sys.stdout`` to None; the
@@ -699,7 +708,7 @@ class TestQuantumRows:
             "marginal_right": prediction.marginal_right,
         }
         expected = {"file": path_of("gamma1.gls")}
-        expected.update(dataclasses.asdict(confront(rules, "K", "E", **probs)), **probs)
+        expected.update(dataclasses.asdict(confront(rules, "K", "E", prediction)), **probs)
         code, out, err = run_cli(capsys, "quantum", "--pair", "K,E", "--json", path_of("gamma1.gls"))
         assert (code, err) == (0, "")
         assert json.loads(out)["reports"][0] == json.loads(json.dumps(expected))
@@ -786,6 +795,15 @@ class TestJsonWriter:
         assert len(payloads) == 1
         assert out == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n"
 
+    def test_int_past_the_digit_limit(self):
+        """An int longer than ``str`` converts by default is written in full;
+        the stdlib refuses to read it back as an int, so read its digits."""
+        text = json_text({"count": 3**9100})
+        digits = json.loads(text, parse_int=str)["count"]
+        assert text == '{\n  "count": ' + digits + "\n}"
+        assert (len(digits), digits[0], digits[-1]) == (4342, "6", "1")
+        assert int(decimal.Decimal(digits)) == 3**9100
+
 
 def write_triad_chain(tmp_path_factory, k: int) -> str:
     """k three-atom contexts in dimension 3, each sharing one atom with the next."""
@@ -827,6 +845,17 @@ def pair_chain(tmp_path_factory) -> str:
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def disjoint_triads(tmp_path_factory) -> str:
+    """9 100 disjoint three-atom contexts: 3**9100 states, 4 342 digits."""
+    k = 9100
+    lines = ["dim 3"] + [f"atom {x}{i}" for i in range(k) for x in "ABC"]
+    lines += [f"context c{i} A{i} B{i} C{i}" for i in range(k)]
+    path = tmp_path_factory.mktemp("deep") / "triads.gls"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
 @pytest.fixture
 def huge_dimension(tmp_path) -> str:
     """No atoms, in a dimension far beyond any index or array size."""
@@ -847,6 +876,12 @@ class TestDeepInputs:
         code, out, err = run_cli(capsys, "rules", "--json", star26)
         assert (code, err) == (0, "")
         assert len(json.loads(out)["reports"][0]["one_zero"]) == 27 * 26 * 25
+
+    def test_state_count_past_the_digit_limit(self, capsys, disjoint_triads):
+        code, out, err = run_cli(capsys, "states", "--count-only", disjoint_triads)
+        assert (code, err) == (0, "")
+        digits = out.rstrip("\n")
+        assert (len(digits), digits[0], digits[-1]) == (4342, "6", "1")  # 3**9100
 
     def test_state_count_on_a_triad_chain(self, capsys, triad_chain):
         """About 10**84 states, counted without listing one: a chain of k

@@ -169,7 +169,6 @@ class TestJointPrediction:
                 prob_both=0.5,
                 marginal_left=0.3,
                 marginal_right=0.3,
-                classical_bound="unconstrained",
             )
 
     def test_rejects_negative_probability(self):
@@ -178,7 +177,6 @@ class TestJointPrediction:
                 prob_both=-0.5,
                 marginal_left=0.3,
                 marginal_right=0.3,
-                classical_bound="zero",
             )
 
 
@@ -291,26 +289,26 @@ class TestConfront:
         ],
     )
     def test_kind_follows_the_rules(self, rules, x, y, kind):
-        row = confront(rules, x, y, 0.1, 0.3, 0.3)
+        row = confront(rules, x, y, JointPrediction(0.1, 0.3, 0.3))
         assert (row.kind, row.pair) == (kind, (x, y))
 
     def test_one_zero_reports_the_joint_probability(self, rules):
-        row = confront(rules, "E", "K", 0.1, 0.3, 0.3)
+        row = confront(rules, "E", "K", JointPrediction(0.1, 0.3, 0.3))
         assert (row.classical, row.quantum, row.violated) == (0.0, 0.1, True)
-        assert not confront(rules, "E", "K", 0.0, 0.3, 0.3).violated
+        assert not confront(rules, "E", "K", JointPrediction(0.0, 0.3, 0.3)).violated
 
     def test_equivalence_reports_the_mismatch(self, rules):
-        row = confront(rules, "K", "K'", 0.25, 0.375, 0.375)
+        row = confront(rules, "K", "K'", JointPrediction(0.25, 0.375, 0.375))
         assert (row.classical, row.quantum, row.violated) == (0.0, 0.125, True)
-        assert not confront(rules, "K", "K'", 0.375, 0.375, 0.375).violated
+        assert not confront(rules, "K", "K'", JointPrediction(0.375, 0.375, 0.375)).violated
 
     def test_unconstrained_pair_is_never_violated(self, rules):
-        row = confront(rules, "A", "D", 0.3, 0.3, 0.3)
+        row = confront(rules, "A", "D", JointPrediction(0.3, 0.3, 0.3))
         assert (row.classical, row.quantum, row.violated) == (None, 0.3, False)
 
     def test_checks_the_probability_bound(self, rules):
         with pytest.raises(LogicError, match="outside"):
-            confront(rules, "E", "K", 0.5, 0.3, 0.3)
+            confront(rules, "E", "K", JointPrediction(0.5, 0.3, 0.3))
 
 
 class TestContextCompleteness:
@@ -382,6 +380,13 @@ def assert_rows_match_oracle(kron, logic: Logic) -> tuple[FalsificationRow, ...]
         assert abs(row.quantum - expected) <= ORACLE_TOL
         assert row.violated == (expected > PROB_TOL)
         assert row.classical == 0.0
+        # One pair judged as ``quantum --pair`` judges it.
+        x, y = row.pair
+        single = confront(rules, x, y, joint_probability(pair, logic.ray_of(x), logic.ray_of(y)))
+        assert (single.kind, single.classical, single.violated) == (
+            row.kind, row.classical, row.violated
+        )
+        assert abs(single.quantum - row.quantum) <= ORACLE_TOL
     return rows
 
 
@@ -393,7 +398,6 @@ class TestAgainstKronOracle:
         assert abs(got.prob_both - expected.prob_both) <= ORACLE_TOL
         assert abs(got.marginal_left - expected.marginal_left) <= ORACLE_TOL
         assert abs(got.marginal_right - expected.marginal_right) <= ORACLE_TOL
-        assert got.classical_bound == expected.classical_bound
 
     @pytest.mark.parametrize("name", REALIZED)
     def test_joint_probability_on_the_corpus(self, corpus, oracle_kron, name):
@@ -403,7 +407,7 @@ class TestAgainstKronOracle:
             for y in logic.labels:
                 a, b = logic.ray_of(x), logic.ray_of(y)
                 self.assert_same(
-                    joint_probability(pair, a, b, "zero"), oracle_kron(pair, a, b, "zero")
+                    joint_probability(pair, a, b), oracle_kron(pair, a, b)
                 )
 
     @pytest.mark.parametrize("d", [3, 4, 5])
