@@ -40,19 +40,15 @@ def _digits(value: int) -> str:
 # --------------------------------------------------------------------------
 # per-subcommand report builders: Logic -> (json dict, text lines, negative?)
 # --------------------------------------------------------------------------
+# JSON documents hold the records' own fields and tuples.  ``vars`` gives a
+# record's live ``__dict__``: none of these records may gain a cached_property.
 
 def _report_check(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[str], bool]:
     report = analysis.verify_realization(logic)
     contexts = []
     lines = []
     for check in report.checks:
-        entry: dict[str, Any] = {
-            "label": check.label,
-            "ok": check.ok,
-            "non_maximal": check.non_maximal,
-            "failing_pair": list(check.failing_pair) if check.failing_pair else None,
-            "inner": None,
-        }
+        entry = {**vars(check), "inner": None}
         if check.failing_pair:
             x, y = check.failing_pair
             try:
@@ -75,7 +71,7 @@ def _report_check(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[st
         "dimension": report.dimension,
         "passed": report.passed,
         "contexts": contexts,
-        "collinear_pairs": [list(p) for p in report.collinear_pairs],
+        "collinear_pairs": report.collinear_pairs,
     }
     return doc, lines, not report.passed
 
@@ -89,7 +85,7 @@ def _report_states(logic: Logic, args: argparse.Namespace) -> tuple[dict, list, 
         "empty": report.empty,
         "unital": report.unital,
         "separating": report.separating,
-        "labels": list(logic.labels),
+        "labels": logic.labels,
     }
     lines = [
         f"count={_digits(report.count)} empty={report.empty} "
@@ -149,10 +145,10 @@ def _report_rules(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[st
     equivalences = sorted(tuple(sorted(e)) for e in rules.equivalences)
     doc = {
         "explosion": rules.explosion,
-        "one_zero": [list(p) for p in one_zero],
-        "one_one": [list(p) for p in one_one],
-        "equivalences": [list(p) for p in equivalences],
-        "never_true": list(rules.never_true),
+        "one_zero": one_zero,
+        "one_one": one_one,
+        "equivalences": equivalences,
+        "never_true": rules.never_true,
     }
     lines = []
     if rules.explosion:
@@ -163,9 +159,8 @@ def _report_rules(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[st
         lines.append(f"one-one: {x} -> {y}")
     for x, y in equivalences:
         lines.append(f"equivalent: {x} == {y}")
-    for atom in rules.never_true:
-        if not rules.explosion:
-            lines.append(f"never-true: {atom}")
+    if not rules.explosion:
+        lines.extend(f"never-true: {atom}" for atom in rules.never_true)
     if not lines:
         lines.append("no rules")
     return doc, lines, rules.explosion
@@ -185,9 +180,7 @@ def _report_parity(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[s
         f"certificate: {certificate.context_count} contexts (odd), "
         "every atom in an even number of contexts",
     ]
-    lines.extend(
-        f"  {atom}: {count}" for atom, count in certificate.atom_multiplicities
-    )
+    lines.extend(f"  {atom}: {count}" for atom, count in certificate.atom_multiplicities)
     lines.append("no two-valued states exist")
     return doc, lines, True
 
@@ -196,16 +189,12 @@ def _report_collapse(logic: Logic, args: argparse.Namespace) -> tuple[dict, list
     report = analysis.infer_collapses(logic)
     doc = {
         "dimension": report.dimension,
-        "identifications": [
-            {"pair": list(i.pair), "witness": list(i.witness)}
-            for i in report.forced_identifications
-        ],
+        "identifications": [vars(i) for i in report.forced_identifications],
     }
     if report.forced_identifications:
         lines = [
-            f"identify {x} = {y} (witness: {', '.join(i.witness)})"
+            f"identify {i.pair[0]} = {i.pair[1]} (witness: {', '.join(i.witness)})"
             for i in report.forced_identifications
-            for x, y in [i.pair]
         ]
     else:
         lines = ["no forced identifications"]
@@ -214,17 +203,9 @@ def _report_collapse(logic: Logic, args: argparse.Namespace) -> tuple[dict, list
 
 def _report_dual(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[str], bool]:
     dual = diagrams.tkadlec_dual(logic)
-    doc = {
-        "nodes": list(dual.nodes),
-        "edges": [
-            {"left": e.left, "right": e.right, "atoms": list(e.atoms)}
-            for e in dual.edges
-        ],
-    }
+    doc = {"nodes": dual.nodes, "edges": [vars(e) for e in dual.edges]}
     lines = [f"{len(dual.nodes)} contexts, {len(dual.edges)} links"]
-    lines.extend(
-        f"  {e.left} -- {e.right} via {','.join(e.atoms)}" for e in dual.edges
-    )
+    lines.extend(f"  {e.left} -- {e.right} via {','.join(e.atoms)}" for e in dual.edges)
     return doc, lines, False
 
 
@@ -374,7 +355,8 @@ def _write_json(value: Any, chunks: list, newline: str) -> None:
 
     From the top, with ``newline`` ``"\n"``, the joined chunks are
     ``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for str
-    keys and dict, list, tuple, str, int, float, bool and None values.  With
+    keys and dict, list, tuple, str, int, float, bool and None values.  A
+    document holds its records' tuples, which are written as arrays.  With
     ``indent`` set the stdlib falls back to its pure-Python encoder; this
     writer encodes strings in C and writes scalars inline by the same rules.
     A state listing is appended as the iterator of its blocks."""

@@ -21,9 +21,10 @@ follows a context line.  A structural fault is shown at its declaration's
 line; one above a grammar fault comes first.
 
 ``serialize_logic`` emits the canonical form: atoms sorted by label, contexts
-in declared order, components as canonical tokens, LF line endings.  Parsing a
-canonical serialization reproduces the logic exactly, and serialization is
-idempotent from the first round.
+in declared order, components as canonical tokens, LF line endings.  It
+refuses a label that the reader would split or cut.  Parsing a canonical
+serialization reproduces the logic with its atoms in label order, and
+serialization is idempotent from the first round.
 """
 
 from __future__ import annotations
@@ -189,8 +190,19 @@ def parse_logic(text: str) -> Logic:
     return Logic(dimension, tuple(atoms), tuple(contexts))
 
 
+# What ``_pieces`` splits or cuts a line at.
+_SEPARATORS = frozenset(" \t\r\n#")
+
+
 def serialize_logic(logic: Logic) -> str:
-    """Canonical text: dim line, atoms sorted by label, contexts in declared order."""
+    """Canonical text: dim line, atoms sorted by label, contexts in declared order.
+
+    Raises LogicError for the first label, atoms before contexts, that the
+    reader cannot read back: an empty one, or one holding a separator or ``#``."""
+    for kind, items in (("atom", logic.atoms), ("context", logic.contexts)):
+        for item in items:
+            if not item.label or not _SEPARATORS.isdisjoint(item.label):
+                raise LogicError(f"{kind} label {quote_token(item.label)} cannot be a .gls token")
     lines = [f"dim {logic.dimension}"]
     for atom in sorted(logic.atoms, key=lambda a: a.label):
         if atom.ray is None:

@@ -40,9 +40,9 @@ class LogicError(ValueError):
 class AbstractLogicError(LogicError):
     """An operation that needs rays was applied to an atom without one."""
 
-    def __init__(self, atom: str, message: str | None = None) -> None:
+    def __init__(self, atom: str) -> None:
         self.atom = atom
-        super().__init__(message or f"atom {quote_token(atom)} carries no ray (abstract logic)")
+        super().__init__(f"atom {quote_token(atom)} carries no ray (abstract logic)")
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,6 @@ class Quad:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rat", Fraction(self.rat))
         object.__setattr__(self, "coef2", Fraction(self.coef2))
-
-    @classmethod
-    def of(cls, rat: RationalLike = 0, coef2: RationalLike = 0) -> Quad:
-        return cls(Fraction(rat), Fraction(coef2))
 
     @property
     def is_zero(self) -> bool:
@@ -496,17 +492,13 @@ def make_logic(
     dimension: int,
     atoms: Iterable[Atom],
     contexts: Iterable[Sequence[str] | Context],
-    context_labels: Iterable[str] | None = None,
 ) -> Logic:
-    """Convenience constructor that validates; contexts may be bare member lists."""
-    ctxs: list[Context] = []
-    labels = iter(context_labels) if context_labels is not None else None
-    for i, c in enumerate(contexts):
-        if isinstance(c, Context):
-            ctxs.append(c)
-        else:
-            label = next(labels) if labels is not None else _spreadsheet_label(i)
-            ctxs.append(Context(label, tuple(c)))
+    """Convenience constructor that validates; contexts may be bare member lists,
+    labeled a, b, c, ... by position."""
+    ctxs = [
+        c if isinstance(c, Context) else Context(_spreadsheet_label(i), tuple(c))
+        for i, c in enumerate(contexts)
+    ]
     logic = Logic(dimension, tuple(atoms), tuple(ctxs))
     logic.validate()
     return logic

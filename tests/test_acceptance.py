@@ -187,7 +187,7 @@ def test_criterion_8_property_suites(
         assert got == oracle_choices(logic)
 
     def random_quad() -> Quad:
-        return Quad.of(
+        return Quad(
             Fraction(rng.randint(-30, 30), rng.randint(1, 9)),
             Fraction(rng.randint(-30, 30), rng.randint(1, 9)),
         )

@@ -74,8 +74,7 @@ class TestVerifyRealization:
         broken = make_logic(
             3,
             atoms=atoms,
-            contexts=[c.members for c in gamma1.contexts],
-            context_labels=[c.label for c in gamma1.contexts],
+            contexts=gamma1.contexts,
         )
         report = verify_realization(broken)
         assert not report.passed

@@ -775,10 +775,24 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize(
         "argv",
-        [("quantum", "--json", path_of(name)) for name in CORPUS_FILES]
-        + [("quantum", "--json", "--pair", "K,E", path_of("gamma1.gls"))],
+        [
+            (command, name)
+            for command in ("check", "states", "rules", "parity", "collapse", "dual", "quantum")
+            for name in CORPUS_FILES
+        ]
+        + [("quantum", "--pair", "K,E", "gamma1.gls")]
+        + [
+            (command, fixture)
+            for command in ("rules", "collapse", "dual")
+            for fixture in ("star5", "triad_chain")
+        ],
+        ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv),
     )
-    def test_quantum_reports_match_the_stdlib(self, capsys, monkeypatch, argv):
+    def test_reports_match_the_stdlib(self, capsys, monkeypatch, request, argv):
+        """The document handed to the writer, written by the stdlib: the
+        star and chain documents hold record tuples that no golden pins."""
+        *options, source = argv
+        path = path_of(source) if source in CORPUS_FILES else request.getfixturevalue(source)
         payloads = []
         write = cli._write_json
 
@@ -788,8 +802,8 @@ class TestJsonWriter:
             write(value, chunks, newline)
 
         monkeypatch.setattr(cli, "_write_json", spy)
-        code, out, _ = run_cli(capsys, *argv)
-        if code == 2:  # an abstract corpus file has no rays to confront
+        code, out, _ = run_cli(capsys, *options, "--json", path)
+        if code == 2:  # an abstract corpus file has no rays to check or confront
             assert payloads == []
             return
         assert len(payloads) == 1
@@ -824,6 +838,13 @@ def long_chain(tmp_path_factory) -> str:
 @pytest.fixture(scope="module")
 def triad_chain(tmp_path_factory) -> str:
     return write_triad_chain(tmp_path_factory, 400)
+
+
+@pytest.fixture(scope="module")
+def star5(tmp_path_factory) -> str:
+    path = tmp_path_factory.mktemp("deep") / "star5.gls"
+    path.write_text(serialize_logic(make_star(5)), encoding="utf-8")
+    return str(path)
 
 
 @pytest.fixture(scope="module")

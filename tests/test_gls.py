@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,9 @@ from greechie.gls import (
     parse_logic,
     serialize_logic,
 )
-from greechie.model import Logic, Ray, format_quad, parse_quad
+from greechie.model import (
+    Atom, Context, Logic, LogicError, Ray, format_quad, make_logic, parse_quad,
+)
 
 
 class TestParseBasics:
@@ -446,6 +449,17 @@ class TestSerialization:
             if not line.startswith("#")
         )
         assert body == serialize_logic(load_corpus(name))
+
+    @pytest.mark.parametrize("kind", ["atom", "context"])
+    @pytest.mark.parametrize("label", ["", "a b", "a\tb", "a\rb", "a\nb", "a#b"])
+    def test_label_the_reader_cannot_read_is_refused(self, kind, label):
+        """Each label empties, splits or cuts its line, so its text would
+        not parse back."""
+        members = (label, "B", "C") if kind == "atom" else ("A", "B", "C")
+        context = Context(label if kind == "context" else "a", members)
+        logic = make_logic(3, [Atom(m) for m in members], [context])
+        with pytest.raises(LogicError, match=f"^{kind} label {re.escape(repr(label))} "):
+            serialize_logic(logic)
 
     def test_lf_endings_emitted(self, gamma1):
         text = serialize_logic(gamma1)
