@@ -7,6 +7,7 @@ test is computed exactly in Q(sqrt(2)); no ray in the supported corpus needs a
 larger field, and tokens outside it are rejected outright.
 ``Quad`` is the exact value parsed, formatted and printed; ray tests run on ints
 (``Ray.ints``, ``Ray.key``, ``orthogonal``), since scaling keeps both relations.
+A ray's integer form and key are made once, with the ray.
 The structural rules of a logic live in ``first_fault``: ``Logic.validate``
 and the ``.gls`` parser both raise the fault it names.
 """
@@ -45,7 +46,12 @@ class AbstractLogicError(LogicError):
         super().__init__(f"atom {quote_token(atom)} carries no ray (abstract logic)")
 
 
-@dataclass(frozen=True)
+# The records below are frozen dataclasses with one explicit ``__init__`` that
+# writes the instance ``__dict__``, which is also how ``cached_property``
+# stores its values on them; assignment still raises FrozenInstanceError.
+
+
+@dataclass(frozen=True, init=False)
 class Quad:
     """An exact number a + b*sqrt(2) with rational a, b.
 
@@ -58,9 +64,10 @@ class Quad:
     rat: Fraction = Fraction(0)
     coef2: Fraction = Fraction(0)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rat", Fraction(self.rat))
-        object.__setattr__(self, "coef2", Fraction(self.coef2))
+    def __init__(self, rat: RationalLike = 0, coef2: RationalLike = 0) -> None:
+        d = self.__dict__
+        d["rat"] = Fraction(rat)
+        d["coef2"] = Fraction(coef2)
 
     @property
     def is_zero(self) -> bool:
@@ -134,7 +141,8 @@ def format_quad(q: Quad) -> str:
 
 
 _TERM_RE = re.compile(
-    r"(?P<sign>[+-]?)(?:(?P<coef>\d+(?:/\d+)?)?(?P<r2>r2)|(?P<plain>\d+(?:/\d+)?))"
+    r"(?P<sign>[+-]?)(?:(?P<coef>\d+(?:/\d+)?)?(?P<r2>r2)|(?P<plain>\d+(?:/\d+)?))",
+    re.ASCII,  # \d would also match other scripts' digits, which int() reads
 )
 
 
@@ -180,22 +188,58 @@ def parse_quad(token: str) -> Quad:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Ray:
     """A one-dimensional subspace, represented by any nonzero vector of Quads.
 
     Rays are unnormalized: norms such as sqrt(3) would leave Q(sqrt(2)), so
-    normalization is deferred to the floating-point quantum module.
+    normalization is deferred to the floating-point quantum module.  The
+    integer form ``ints`` and the canonical ``key`` are made once, with the
+    ray; they are plain attributes, not fields, so they take no part in
+    ``==``, ``hash`` or ``repr``.
+
+    ``ints``: the components times their denominators' lcm, as ints (a, b):
+    a + b*sqrt(2).
+
+    ``key``: canonical projective form, 2d ints (a1, b1, ..., ad, bd): ``ints``
+    times the conjugate p - q*sqrt(2) of its lead p + q*sqrt(2), which makes the
+    lead rational, over the gcd, lead positive.  Collinear rays, and only they,
+    have equal keys.
     """
 
     components: tuple[Quad, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
+    def __init__(self, components: Iterable[Quad]) -> None:
+        components = tuple(components)
+        if not components:
             raise LogicError("ray needs at least one component")
-        if all(c.is_zero for c in self.components):
+        ratios = []
+        scale = 1
+        for c in components:
+            a, da = c.rat.as_integer_ratio()
+            b, db = c.coef2.as_integer_ratio()
+            ratios.append((a, da, b, db))
+            if da != 1 or db != 1:
+                scale = math.lcm(scale, da, db)
+        if scale == 1:
+            ints = tuple([(a, b) for a, _, b, _ in ratios])
+        else:
+            ints = tuple([(a * (scale // da), b * (scale // db)) for a, da, b, db in ratios])
+        for p, q in ints:
+            if p or q:
+                break
+        else:
             raise LogicError("the zero ray is not a ray: a component must be nonzero")
+        key = []
+        for a, b in ints:
+            key.append(a * p - 2 * b * q)
+            key.append(b * p - a * q)
+        # The first nonzero entry is the lead's norm p*p - 2*q*q, never zero.
+        g = math.gcd(*key) if p * p > 2 * q * q else -math.gcd(*key)
+        d = self.__dict__
+        d["components"] = components
+        d["ints"] = ints
+        d["key"] = tuple([x // g for x in key])
 
     @classmethod
     def of(cls, *values: RationalLike | Quad | str) -> Ray:
@@ -224,34 +268,6 @@ class Ray:
     def __str__(self) -> str:
         return "(" + ", ".join(format_quad(c) for c in self.components) + ")"
 
-    @cached_property
-    def ints(self) -> tuple[tuple[int, int], ...]:
-        """The components times their denominators' lcm, as ints (a, b): a + b*sqrt(2)."""
-        ratios = []
-        for c in self.components:
-            ratios.append(c.rat.as_integer_ratio())
-            ratios.append(c.coef2.as_integer_ratio())
-        scale = math.lcm(*[d for _, d in ratios])
-        flat = [n * (scale // d) for n, d in ratios]
-        return tuple(zip(flat[::2], flat[1::2]))
-
-    @cached_property
-    def key(self) -> tuple[int, ...]:
-        """Canonical projective form, 2d ints (a1, b1, ..., ad, bd): ``ints`` times the
-        conjugate p - q*sqrt(2) of its lead p + q*sqrt(2), which makes the lead rational,
-        over the gcd, lead positive.  Collinear rays, and only they, have equal keys."""
-        ints = self.ints
-        for p, q in ints:
-            if p or q:
-                break
-        flat = []
-        for a, b in ints:
-            flat.append(a * p - 2 * b * q)
-            flat.append(b * p - a * q)
-        # The first nonzero entry is the lead's norm p*p - 2*q*q, never zero.
-        g = math.gcd(*flat) if p * p > 2 * q * q else -math.gcd(*flat)
-        return tuple([x // g for x in flat])
-
 
 def inner_product(r: Ray, s: Ray) -> Quad:
     """Exact Euclidean inner product; the rays are real, so no conjugation."""
@@ -264,8 +280,11 @@ def orthogonal(r: Ray, s: Ray) -> bool:
     """Exact orthogonality: the inner product of the integer forms is zero."""
     if len(r) != len(s):
         raise LogicError(f"ray length mismatch: {len(r)} vs {len(s)}")
-    rat = sum(a * c + 2 * b * d for (a, b), (c, d) in zip(r.ints, s.ints))
-    return rat == 0 and sum(a * d + b * c for (a, b), (c, d) in zip(r.ints, s.ints)) == 0
+    rat = irr = 0
+    for (a, b), (c, d) in zip(r.ints, s.ints):
+        rat += a * c + 2 * b * d
+        irr += a * d + b * c
+    return rat == 0 and irr == 0
 
 
 def rays_collinear(r: Ray, s: Ray) -> bool:
@@ -283,23 +302,30 @@ def collinear_classes(labeled: Iterable[tuple[str, Ray]]) -> list[list[str]]:
     return [group for group in by_key.values() if len(group) > 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Atom:
     """A labeled elementary proposition, optionally realized as a ray."""
 
     label: str
     ray: Ray | None = None
 
+    def __init__(self, label: str, ray: Ray | None = None) -> None:
+        d = self.__dict__
+        d["label"] = label
+        d["ray"] = ray
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Context:
     """A maximal set of co-measurable propositions, kept in declared order."""
 
     label: str
     members: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(self.members))
+    def __init__(self, label: str, members: Iterable[str]) -> None:
+        d = self.__dict__
+        d["label"] = label
+        d["members"] = tuple(members)
 
 
 def first_fault(
@@ -419,7 +445,7 @@ def _walk(
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Logic:
     """A finite pasting of contexts over a shared atom set.
 
@@ -434,9 +460,13 @@ class Logic:
     atoms: tuple[Atom, ...]
     contexts: tuple[Context, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        object.__setattr__(self, "contexts", tuple(self.contexts))
+    def __init__(
+        self, dimension: int, atoms: Iterable[Atom], contexts: Iterable[Context]
+    ) -> None:
+        d = self.__dict__
+        d["dimension"] = dimension
+        d["atoms"] = tuple(atoms)
+        d["contexts"] = tuple(contexts)
 
     @cached_property
     def atom_map(self) -> Mapping[str, Atom]:

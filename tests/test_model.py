@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -174,7 +175,10 @@ class TestTokens:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "x", "1.5", "r3", "1+", "+", "r2r2", "1+1r2+1", "1//2", "1/0", "--1", "1 2"],
+        [
+            "", "x", "1.5", "r3", "1+", "+", "r2r2", "1+1r2+1", "1//2", "1/0", "--1", "1 2",
+            "\u0663", "\uff11", "1/\u0663", "1+\u0661r2",  # ٣ and ١ (Arabic-Indic), １ (fullwidth)
+        ],
     )
     def test_rejects_non_field_tokens(self, bad):
         with pytest.raises(ValueError):
@@ -350,6 +354,41 @@ class TestRays:
     def test_integer_form_clears_denominators(self):
         assert Ray.of("1/2", "1/3r2", "-5/6+1/4r2").ints == ((6, 0), (0, 4), (-10, 3))
 
+    @pytest.mark.parametrize(
+        "components, ints, key",
+        [
+            # fractional components: scaled by the lcm 6 of their denominators
+            (("1/2", "1/3r2", "1"), ((3, 0), (0, 2), (6, 0)), (3, 0, 0, 2, 6, 0)),
+            (("3", "1/2r2", "-1/3"), ((18, 0), (0, 3), (-2, 0)), (18, 0, 0, 3, -2, 0)),
+            # all-integer components: kept as they are, the key over their gcd
+            (("2", "-4", "6"), ((2, 0), (-4, 0), (6, 0)), (1, 0, -2, 0, 3, 0)),
+            # irrational lead 2 + r2 of norm 4 - 2 = 2 > 0
+            (("2+1r2", "1", "0"), ((2, 1), (1, 0), (0, 0)), (2, 0, 2, -1, 0, 0)),
+            # leads of negative norm p*p - 2*q*q: the sign of the key flips
+            (("1-1r2", "2", "0"), ((1, -1), (2, 0), (0, 0)), (1, 0, -2, -2, 0, 0)),
+            (("r2", "1", "0"), ((0, 1), (1, 0), (0, 0)), (2, 0, 0, 1, 0, 0)),
+        ],
+    )
+    def test_integer_form_and_key_values(self, components, ints, key):
+        ray = Ray.of(*components)
+        assert ray.ints == ints
+        assert ray.key == key
+
+    def test_integer_form_is_made_with_the_ray(self):
+        ray = Ray.of("1/2", "1/3r2", "1")
+        assert vars(ray)["ints"] == ((3, 0), (0, 2), (6, 0))
+        assert vars(ray)["key"] == (3, 0, 0, 2, 6, 0)
+        other = dataclasses.replace(ray, components=Ray.of("r2", "1", "0").components)
+        assert vars(other)["ints"] == ((0, 1), (1, 0), (0, 0))
+        assert vars(other)["key"] == (2, 0, 0, 1, 0, 0)
+        assert [f.name for f in dataclasses.fields(ray)] == ["components"]
+
+    def test_empty_ray_is_refused_before_the_zero_ray(self):
+        with pytest.raises(LogicError, match="at least one component"):
+            Ray(())
+        with pytest.raises(LogicError, match="the zero ray"):
+            Ray.of("0", "0", "0")
+
     def test_collinear_rays_have_proportional_inner_products(self):
         r = Ray.of("1", "r2", "-1")
         scaled = Ray(tuple(c * quad(0, 3) for c in r.components))
@@ -362,6 +401,75 @@ class TestRays:
 # --------------------------------------------------------------------------
 # logic structure
 # --------------------------------------------------------------------------
+
+def a_logic(atoms) -> Logic:
+    return Logic(3, atoms, [Context("c", ["A", "B"])])
+
+
+class TestRecords:
+    """Quad, Ray, Atom, Context and Logic stay frozen value objects."""
+
+    MAKERS = {
+        "Quad": lambda: Quad(1, 2),
+        "Ray": lambda: Ray.of("1", "r2", "-1/2"),
+        "Atom": lambda: Atom("A", Ray.of("1", "0", "0")),
+        "Context": lambda: Context("c", ["a", "b"]),
+        "Logic": lambda: a_logic([Atom("A"), Atom("B", Ray.of("0", "1", "0"))]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_assignment_is_refused(self, name):
+        record = self.MAKERS[name]()
+        for field in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.extra = 1
+
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_equal_inputs_give_equal_records(self, name):
+        first, second = self.MAKERS[name](), self.MAKERS[name]()
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+        assert dataclasses.replace(first) == first
+
+    @pytest.mark.parametrize(
+        "record, text",
+        [
+            (Quad(1, 2), "Quad(Fraction(1, 1), Fraction(2, 1))"),
+            (Quad(), "Quad(Fraction(0, 1), Fraction(0, 1))"),
+            (
+                Ray.of("1/2", "r2", "-1+1r2"),
+                "Ray(components=(Quad(Fraction(1, 2), Fraction(0, 1)), "
+                "Quad(Fraction(0, 1), Fraction(1, 1)), Quad(Fraction(-1, 1), Fraction(1, 1))))",
+            ),
+            (
+                Atom("A", Ray.of("1", "0", "0")),
+                "Atom(label='A', ray=Ray(components=(Quad(Fraction(1, 1), Fraction(0, 1)), "
+                "Quad(Fraction(0, 1), Fraction(0, 1)), Quad(Fraction(0, 1), Fraction(0, 1)))))",
+            ),
+            (Atom("N"), "Atom(label='N', ray=None)"),
+            (Context("c", ["a", "b"]), "Context(label='c', members=('a', 'b'))"),
+            (
+                Logic(3, [Atom("A")], [Context("c", ("A",))]),
+                "Logic(dimension=3, atoms=(Atom(label='A', ray=None),), "
+                "contexts=(Context(label='c', members=('A',)),))",
+            ),
+        ],
+    )
+    def test_repr(self, record, text):
+        assert repr(record) == text
+
+    def test_inputs_are_coerced(self):
+        assert Context("c", ["a", "b"]).members == ("a", "b")
+        assert type(Quad(1, 2).rat) is Fraction and type(Quad(1, 2).coef2) is Fraction
+        assert type(Quad().rat) is Fraction
+        assert Ray([ONE, ZERO, ROOT2]).components == (ONE, ZERO, ROOT2)
+        logic = a_logic([Atom("A"), Atom("B")])
+        assert logic.atoms == (Atom("A"), Atom("B"))
+        assert logic.contexts == (Context("c", ("A", "B")),)
+
 
 def tiny_logic() -> Logic:
     return make_logic(
