@@ -516,19 +516,11 @@ class RuleSet:
 def derive_rules(report: StateSummary, logic: Logic) -> RuleSet:
     """Extract the one-zero and one-one/zero-zero rules from a state space:
     x true forces y false when y is in no state with x (outside ``union[x]``),
-    and forces y true when y is in every state with x (inside ``inter[x]``)."""
+    and forces y true when y is in every state with x (inside ``inter[x]``).
+    An empty space has every ``union`` 0, so every atom is never true."""
     labels = logic.labels
     if report.labels != labels:
         raise LogicError("state report does not belong to this logic")
-    if report.empty:
-        return RuleSet(
-            one_zero=frozenset(),
-            one_one=frozenset(),
-            equivalences=frozenset(),
-            never_true=tuple(labels),
-            explosion=True,
-        )
-
     everyone = (1 << len(labels)) - 1
     possible = [(x, u, i) for x, u, i in zip(labels, report.union, report.inter) if u]
     one_one = frozenset((x, y) for x, _, inter in possible for y in _labels_of(inter, labels))
@@ -541,7 +533,7 @@ def derive_rules(report: StateSummary, logic: Logic) -> RuleSet:
             frozenset((x, y)) for x, y in one_one if x < y and (y, x) in one_one
         ),
         never_true=tuple(x for x, u in zip(labels, report.union) if not u),
-        explosion=False,
+        explosion=report.empty,
     )
 
 

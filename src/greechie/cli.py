@@ -419,7 +419,8 @@ def _write_json(value: Any, chunks: list, newline: str) -> None:
 # --------------------------------------------------------------------------
 
 class _Refusal(Exception):
-    """An input or output fault: the run ends with exit 2 and this message."""
+    """An input or output fault: the run ends with exit 2 and this message, as
+    it does on a ``LogicError`` that reaches ``main``."""
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -472,7 +473,7 @@ def _run_file_command(args: argparse.Namespace) -> int:
     reports: list[dict] = []
     pieces: list = []
     negatives = 0
-    as_json = getattr(args, "json", False)
+    as_json = args.json
     indent = "  " if len(args.files) > 1 else ""
     for name in args.files:
         try:
@@ -513,11 +514,7 @@ def _run_dot(args: argparse.Namespace) -> int:
 
 
 def _run_star(args: argparse.Namespace) -> int:
-    try:
-        logic = analysis.make_star(args.dimension)
-    except LogicError as exc:
-        raise _Refusal(str(exc)) from None
-    _emit([gls.serialize_logic(logic)], args.out)
+    _emit([gls.serialize_logic(analysis.make_star(args.dimension))], args.out)
     return 0
 
 
@@ -527,7 +524,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except _Refusal as exc:
+    except (_Refusal, LogicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -83,30 +83,19 @@ def emit_dot(logic: Logic, mode: str = "greechie-incidence") -> str:
 
     used: set[str] = set()
     lines = ["graph logic {"]
-
     if mode == "greechie-incidence":
-        atom_ids = {
-            a.label: _identifier(a.label, "a_", used)
-            for a in sorted(logic.atoms, key=lambda a: a.label)
-        }
-        context_ids = {
-            c.label: _identifier(c.label, "c_", used) for c in logic.contexts
-        }
+        atom_ids = {label: _identifier(label, "a_", used) for label in logic.labels}
         for label, node_id in atom_ids.items():
             lines.append(f"  {node_id} [label={_quote(label)}, shape=circle];")
-        for label, node_id in context_ids.items():
-            lines.append(f"  {node_id} [label={_quote(label)}, shape=box];")
+    context_ids = {c.label: _identifier(c.label, "c_", used) for c in logic.contexts}
+    for label, node_id in context_ids.items():
+        lines.append(f"  {node_id} [label={_quote(label)}, shape=box];")
+    if mode == "greechie-incidence":
         for ctx in logic.contexts:
             for member in ctx.members:
                 lines.append(f"  {context_ids[ctx.label]} -- {atom_ids[member]};")
     else:
-        dual = tkadlec_dual(logic)
-        context_ids = {
-            label: _identifier(label, "c_", used) for label in dual.nodes
-        }
-        for label, node_id in context_ids.items():
-            lines.append(f"  {node_id} [label={_quote(label)}, shape=box];")
-        for edge in dual.edges:
+        for edge in tkadlec_dual(logic).edges:
             label = ",".join(edge.atoms)
             lines.append(
                 f"  {context_ids[edge.left]} -- {context_ids[edge.right]} "

@@ -133,7 +133,7 @@ def parse_logic(text: str) -> Logic:
                 try:
                     for token in tokens[2:]:
                         values.append(parse_quad(token))
-                    ray = Ray(tuple(values))
+                    ray = Ray(values)
                 except LogicError as exc:  # the zero ray, shown at its first component
                     fault = lineno, 2, str(exc)
                     break
@@ -144,7 +144,7 @@ def parse_logic(text: str) -> Logic:
                 interleaved = True
             atoms.append(Atom(tokens[1], ray))
         elif keyword == "context" and len(tokens) > 1 and dimension is not None:
-            contexts.append(Context(tokens[1], tuple(tokens[2:])))
+            contexts.append(Context(tokens[1], tokens[2:]))
         elif keyword == "dim" and len(tokens) == 2 and dimension is None:
             try:
                 dimension = _parse_dimension(tokens[1])
@@ -187,7 +187,7 @@ def parse_logic(text: str) -> Logic:
         raise GlsParseError(message, lineno, _column(lines[lineno - 1], token))
     if dimension is None:
         raise GlsParseError("missing dim declaration", len(lines), 1)
-    return Logic(dimension, tuple(atoms), tuple(contexts))
+    return Logic(dimension, atoms, contexts)
 
 
 # What ``_pieces`` splits or cuts a line at.
@@ -216,7 +216,11 @@ def serialize_logic(logic: Logic) -> str:
 
 
 def load_logic(path: str | Path) -> Logic:
-    return parse_logic(Path(path).read_text(encoding="utf-8-sig"))
+    """Parse a ``.gls`` file as written: its line endings are not translated,
+    so a CRLF line ends as an LF line does and a lone CR separates tokens,
+    as in ``parse_logic``.  A leading UTF-8 byte order mark is skipped."""
+    with open(path, encoding="utf-8-sig", newline="") as stream:
+        return parse_logic(stream.read())
 
 
 def corpus_path(name: str) -> Path:

@@ -61,8 +61,8 @@ class Quad:
     makes exact orthogonality checks possible.
     """
 
-    rat: Fraction = Fraction(0)
-    coef2: Fraction = Fraction(0)
+    rat: Fraction
+    coef2: Fraction
 
     def __init__(self, rat: RationalLike = 0, coef2: RationalLike = 0) -> None:
         d = self.__dict__
@@ -251,7 +251,7 @@ class Ray:
                 comps.append(parse_quad(v))
             else:
                 comps.append(Quad(Fraction(v)))
-        return cls(tuple(comps))
+        return cls(comps)
 
     def __len__(self) -> int:
         return len(self.components)
@@ -307,7 +307,7 @@ class Atom:
     """A labeled elementary proposition, optionally realized as a ray."""
 
     label: str
-    ray: Ray | None = None
+    ray: Ray | None
 
     def __init__(self, label: str, ray: Ray | None = None) -> None:
         d = self.__dict__
@@ -526,10 +526,10 @@ def make_logic(
     """Convenience constructor that validates; contexts may be bare member lists,
     labeled a, b, c, ... by position."""
     ctxs = [
-        c if isinstance(c, Context) else Context(_spreadsheet_label(i), tuple(c))
+        c if isinstance(c, Context) else Context(_spreadsheet_label(i), c)
         for i, c in enumerate(contexts)
     ]
-    logic = Logic(dimension, tuple(atoms), tuple(ctxs))
+    logic = Logic(dimension, atoms, ctxs)
     logic.validate()
     return logic
 

@@ -688,6 +688,8 @@ class TestDeriveRules:
                 assert rules.one_zero == frozenset(one_zero)
                 assert rules.one_one == frozenset(one_one)
                 assert rules.equivalences == frozenset(equivalences)
+            else:
+                assert not (rules.one_zero or rules.one_one or rules.equivalences)
 
     def test_report_must_match_logic(self, gamma1, corpus):
         report = enumerate_states(corpus["tight3.gls"])

@@ -276,16 +276,19 @@ class TestExitCodes:
         [
             ("check", path_of("gamma1.gls")),
             ("states", "--list", "--json", path_of("star4.gls")),
+            ("states", "--list", "star7"),
             ("dot", path_of("gamma1.gls")),
             ("star", "5"),
             ("--help",),
             ("states", "--help"),
         ],
-        ids=["text", "listing", "dot", "star", "help", "states-help"],
+        ids=["text", "listing", "long-listing", "dot", "star", "help", "states-help"],
     )
-    def test_unwritable_stdout(self, argv):
+    def test_unwritable_stdout(self, request, argv):
         """A stdout that takes no bytes refuses the run as an unwritable
-        ``--out`` does: one error line, exit 2, and a quiet final flush."""
+        ``--out`` does: one error line, exit 2, and a quiet final flush.
+        star4's listing fits one write buffer; star7's fails between blocks."""
+        argv = [request.getfixturevalue(arg) if arg == "star7" else arg for arg in argv]
         paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         with open("/dev/full", "w") as full:
@@ -1230,3 +1233,43 @@ def test_mutated_files_end_in_a_report_or_one_error_line(capsys, tmp_path):
             digest.update(json.dumps(run).encode("utf-8"))
     assert codes == {0, 2}
     assert digest.hexdigest() == _FUZZ_DIGEST
+
+
+# Sets of labels (a RuleSet's pairs, the dual's owners, collapse merges) are
+# sorted before output; a missing sort would show only under another seed.
+_HASH_SEED_ARGV = [
+    ["rules", "--json", "gamma3pair.gls"],
+    ["quantum", "--json", "gamma3pair.gls"],
+    ["collapse", "--json", "tight3.gls"],
+    ["dual", "--json", "gamma3pair.gls"],
+    ["dot", "--mode", "tkadlec", "gamma3pair.gls"],
+    ["states", "--list", "--json", "star4.gls"],
+]
+
+_HASH_SEED_CHILD = """
+import contextlib, hashlib, io, json, sys
+from greechie import cli
+from greechie.gls import corpus_path
+digest = hashlib.sha256()
+for *options, name in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([*options, str(corpus_path(name))])
+    assert code == 0, (options, name, code)
+    digest.update(json.dumps([options, name, code, out.getvalue()]).encode("utf-8"))
+print(digest.hexdigest())
+"""
+
+
+def test_output_does_not_depend_on_string_hashing():
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    digests = set()
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+               "PYTHONHASHSEED": seed}
+        result = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_CHILD, json.dumps(_HASH_SEED_ARGV)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        digests.add(result.stdout)
+    assert len(digests) == 1, digests

@@ -216,6 +216,26 @@ class TestEmitDot:
         for mode in DOT_MODES:
             nodes, _ = check_dot(emit_dot(logic, mode=mode))
             assert len(nodes) == len(set(nodes))
+        assert emit_dot(logic) == (
+            "graph logic {\n"
+            '  a_X_ [label="X\'", shape=circle];\n'
+            '  a_X__2 [label="X_", shape=circle];\n'
+            '  a_Y [label="Y", shape=circle];\n'
+            '  c_a [label="a", shape=box];\n'
+            '  c_b [label="b", shape=box];\n'
+            "  c_a -- a_X_;\n"
+            "  c_a -- a_X__2;\n"
+            "  c_b -- a_X_;\n"
+            "  c_b -- a_Y;\n"
+            "}\n"
+        )
+        assert emit_dot(logic, mode="tkadlec") == (
+            "graph logic {\n"
+            '  c_a [label="a", shape=box];\n'
+            '  c_b [label="b", shape=box];\n'
+            '  c_a -- c_b [label="X\'"];\n'
+            "}\n"
+        )
 
     def test_deterministic(self, cabello18):
         for mode in DOT_MODES:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_random_logic, with_distinct_rays
-from greechie import model
+from greechie import cli, model
 from greechie.analysis import make_star
 from greechie.gls import (
     CORPUS_FILES,
@@ -64,6 +64,16 @@ class TestParseBasics:
         logic = parse_logic("dim 3\natom A\r# note\natom B\ncontext a A\rB\n")
         assert [a.label for a in logic.atoms] == ["A", "B"]
         assert parse_logic(serialize_logic(logic)) == logic
+
+    def test_file_reads_as_its_text(self, tmp_path, capsys):
+        """A file is not read in universal-newline mode: a lone CR in it
+        separates tokens, as it does in a string."""
+        text = "dim 3\natom A\r# note\natom B\ncontext a A\rB\n"
+        path = tmp_path / "cr.gls"
+        path.write_bytes(text.encode("utf-8"))
+        assert load_logic(path) == parse_logic(text)
+        assert cli.main(["states", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_abstract_atoms(self):
         logic = parse_logic("dim 3\natom A\natom B\ncontext a A B\n")
