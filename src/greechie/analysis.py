@@ -289,20 +289,21 @@ def _search(logic: Logic) -> tuple[dict[tuple[int, int], _Solved], _Solved]:
 
     The search covers contexts by atoms as Knuth's Algorithm X does, over
     int masks (``labels[0]`` the most significant bit): it branches on the
-    uncovered context with the fewest open members, and choosing an atom
-    blocks every atom it shares a context with.  Before any branch it sets
-    true every atom that a context is left with as its only open member.
-    The contexts still uncovered then fall apart into components, linked by
-    shared open members.  A component is keyed by its context indices and
-    its open atoms, which fix what it can do, and is solved once whatever
-    leads to it (the component caching of Thurley's sharpSAT, SAT 2006):
-    per branch the atoms it forced and its subcomponents, and over all
-    branches its count and the OR and AND of its codes.  Counts multiply
-    over components and add over branches.  An atom in no context (only in
-    an unvalidated logic) is a component of its own with two branches, true
-    and false.  The table is filled on an explicit stack, so deep logics
-    meet no recursion limit, and every component enters it after its
-    subcomponents.  A root with no state has no live branch.
+    context with the fewest open members among those that lost one in the
+    step that cut its component off (at the root, among all), and choosing
+    an atom blocks every atom it shares a context with and sets true every
+    atom that a context is left with as its only open member.  The contexts
+    still uncovered then fall apart into components, linked by shared open
+    members.  A component is keyed by its context indices and its open
+    atoms, which fix what it can do, and is solved once whatever leads to it
+    (the component caching of Thurley's sharpSAT, SAT 2006): per branch the
+    atoms it forced and its subcomponents, and over all branches its count
+    and the OR and AND of its codes.  Counts multiply over components and
+    add over branches.  An atom in no context (only in an unvalidated logic)
+    is a component of its own with two branches, true and false.  The table
+    is filled on an explicit stack, so deep logics meet no recursion limit,
+    and every component enters it after its subcomponents.  A root with no
+    state has no live branch.
     """
     labels = logic.labels
     groups = (ctx.members for ctx in logic.contexts)
@@ -363,18 +364,23 @@ def _search(logic: Logic) -> tuple[dict[tuple[int, int], _Solved], _Solved]:
                 break
             members &= uncovered
             parts.append((members, atoms))
+            cut.setdefault((members, atoms), seeds & members)
             uncovered ^= members
             free ^= atoms
             seeds &= ~members
         if uncovered:
             parts.append((uncovered, free))
+            cut.setdefault((uncovered, free), seeds)
         return forced, parts
 
     solved: dict[tuple[int, int], _Solved] = {}  # keyed by (context indices, open atoms)
+    cut: dict[tuple[int, int], int] = {}  # per component, the seeds it was first cut off with
     pending: dict[tuple[int, int], list] = {}
+    covered = (1 << len(blocks)) - 1  # the atoms in some context
     for bit, mask in enumerate(blocks):
         if not mask:
             atom = 1 << bit
+            covered ^= atom
             solved[0, atom] = (2, atom, 0, [(atom, (), atom, atom), (0, (), 0, 0)])
 
     def combine(branches: Iterable[tuple[int, list]]) -> _Solved:
@@ -393,13 +399,8 @@ def _search(logic: Logic) -> tuple[dict[tuple[int, int], _Solved], _Solved]:
                 live.append((forced, parts, one, every))
         return count, any_code, all_code, live
 
-    units = covered = 0
-    for ctx in contexts:
-        covered |= ctx
-        if not ctx & (ctx - 1):
-            units |= ctx
     everything = (1 << len(contexts)) - 1
-    root = settle(units, covered, everything, everything) if all(contexts) else None
+    root = settle(0, covered, everything, everything) if all(contexts) else None
     if root is None:
         return solved, (0, 0, -1, [])
     root_forced, root_parts = root
@@ -413,15 +414,13 @@ def _search(logic: Logic) -> tuple[dict[tuple[int, int], _Solved], _Solved]:
         branches = pending.pop(part, None)
         if branches is None:
             members, atoms = part
-            choice, fewest, rest = 0, 0, members
+            choice, fewest, rest = 0, 0, cut[part]
             while rest:
                 low = rest & -rest
                 open_members = contexts[low.bit_length() - 1] & atoms
                 size = open_members.bit_count()
                 if not choice or size < fewest:
                     choice, fewest = open_members, size
-                    if size == 2:  # settle left no context with fewer
-                        break
                 rest ^= low
             branches = []
             while choice:

@@ -524,8 +524,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (_Refusal, LogicError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (_Refusal, LogicError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
 
-from conftest import cliques_in_order
+from conftest import build_random_logic, cliques_in_order
 from greechie.analysis import (
     Identification,
     StateSummary,
@@ -566,6 +567,73 @@ class TestSummarizeStates:
         assert derive_rules(either_path(logic), logic) == derive_rules(
             enumerate_states(logic), logic
         )
+
+
+def triad_chain(k: int) -> str:
+    """k three-atom contexts in dimension 3, each sharing one atom with the next."""
+    lines = ["dim 3"]
+    lines += [f"atom L{i}" for i in range(k + 1)]
+    lines += [f"atom M{i}" for i in range(k)]
+    lines += [f"context c{i} L{i} M{i} L{i + 1}" for i in range(k)]
+    return "\n".join(lines) + "\n"
+
+
+def reordered(text: str, seed: int) -> str:
+    """The same logic with its atom lines and its context lines shuffled."""
+    rng = random.Random(seed)
+    lines = text.splitlines()
+    atoms = [line for line in lines if line.startswith("atom ")]
+    contexts = [line for line in lines if line.startswith("context ")]
+    rng.shuffle(atoms)
+    rng.shuffle(contexts)
+    return "\n".join([lines[0], *atoms, *contexts]) + "\n"
+
+
+class TestDeclarationOrder:
+    """A logic is a set of contexts, so the order of a file's lines changes
+    neither the search's answers nor how much work it does."""
+
+    @staticmethod
+    def c_calls(logic: Logic) -> int:
+        """The calls into C that ``summarize_states`` makes: a count of its
+        work that does not depend on the host's speed."""
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "c_call"
+
+        sys.setprofile(count)
+        try:
+            summarize_states(logic)
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def test_search_work_does_not_depend_on_order(self):
+        text = triad_chain(400)
+        declared = self.c_calls(parse_logic(text))
+        for seed in (1, 2, 3):
+            shuffled = self.c_calls(parse_logic(reordered(text, seed)))
+            assert shuffled <= 1.25 * declared, (seed, shuffled, declared)
+
+    def test_answers_do_not_depend_on_order(self):
+        rng = random.Random(431)
+        logics = [make_star(d) for d in range(3, 8)]
+        logics += [parse_logic(triad_chain(12)), parse_logic(triad_chain(400))]
+        logics += [build_random_logic(rng) for _ in range(50)]
+        for logic in logics:
+            text = serialize_logic(logic)
+            expected = summarize_states(logic)
+            rules = derive_rules(expected, logic)
+            codes = enumerate_states(logic).codes if expected.count <= 10_000 else None
+            for seed in (1, 2, 3):
+                other = parse_logic(reordered(text, seed))
+                summary = summarize_states(other)
+                assert summary == expected, seed
+                assert derive_rules(summary, other) == rules, seed
+                if codes is not None:
+                    assert enumerate_states(other).codes == codes, seed
 
 
 class TestDeriveRules:

@@ -6,6 +6,7 @@ import contextlib
 import dataclasses
 import decimal
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -325,6 +326,50 @@ class TestExitCodes:
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("error: cannot write stdout: ")
         assert result.stderr.count("\n") == 1, result.stderr
+
+    @pytest.mark.skipif(
+        importlib.util.find_spec("resource") is None or sys.platform != "linux",
+        reason="needs RLIMIT_AS from the resource module",
+    )
+    def test_out_of_memory_is_refused(self, tmp_path):
+        """A run that outgrows its address space ends in one error line and
+        exit 2, not a traceback: numpy's contraction in dimension 3 000 asks
+        for 1.21 GiB, and listing a 60-triad chain's F(63) states for more.
+        The child sets its own limit, as a ``preexec_fn`` is unsafe in a
+        process with threads."""
+        d, k = 3000, 60
+        axes = [" ".join("1" if j == i else "0" for j in range(d)) for i in range(3)]
+        wide = tmp_path / "wide.gls"
+        wide.write_text(
+            f"dim {d}\natom A {axes[0]}\natom B {axes[1]}\natom C {axes[2]}\ncontext x A B C\n",
+            encoding="utf-8",
+        )
+        chain = tmp_path / "chain.gls"
+        lines = ["dim 3"] + [f"atom L{i}" for i in range(k + 1)]
+        lines += [f"atom M{i}" for i in range(k)]
+        lines += [f"context c{i} L{i} M{i} L{i + 1}" for i in range(k)]
+        chain.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+            "OPENBLAS_NUM_THREADS": "1",
+        }
+        code = (
+            "import resource, runpy, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "sys.argv[0] = 'greechie'; "
+            "runpy.run_module('greechie.cli', run_name='__main__')"
+        )
+        for argv in (("quantum", str(wide)), ("states", "--list", str(chain))):
+            result = subprocess.run(
+                [sys.executable, "-c", code, *argv],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            )
+            assert result.returncode == 2, result.stderr
+            assert "Traceback" not in result.stderr
+            assert result.stderr.startswith("error:"), result.stderr
+            assert result.stderr.count("\n") == 1, result.stderr
 
     def test_unknown_subcommand(self, capsys):
         assert run_cli(capsys, "frobnicate", "x.gls")[0] == 2

@@ -3,14 +3,15 @@
     python3 tools/oneshot_compare.py --before PARENT/src --after CHANGE/src \
         --runs 21 --out oneshot.json
 
-Each run is ``python -m greechie.cli <subcommand> gamma3pair.gls`` in a new
-interpreter, started in the tree's corpus directory with ``PYTHONPATH`` set to
-that tree, and timed in wall time from start to exit.  The two sides
-alternate, and which one goes first alternates from round to round.  Both
-trees are byte-compiled first, so neither side pays for compiling the
-package.  Per subcommand the document gives each side's times in ms, their
-median and quartiles, in how many rounds the after side was faster, and
-whether both sides printed the same output with the same exit code.
+Each run is ``python -m greechie.cli check gamma3pair.gls``, the same with
+``quantum``, or ``states --count-only gamma3pair.gls``, in a new interpreter,
+started in the tree's corpus directory with ``PYTHONPATH`` set to that tree,
+and timed in wall time from start to exit.  The two sides alternate, and
+which one goes first alternates from round to round.  Both trees are
+byte-compiled first, so neither side pays for compiling the package.  Per
+subcommand the document gives each side's times in ms, their median and
+quartiles, in how many rounds the after side was faster, and whether both
+sides printed the same output with the same exit code.
 ``tools/bench_compare.py --oneshot`` embeds the document in a BENCH file.
 """
 
@@ -29,7 +30,11 @@ from pathlib import Path
 
 from bench_compare import spread
 
-COMMANDS = (("check", "gamma3pair.gls"), ("quantum", "gamma3pair.gls"))
+COMMANDS = (
+    ("check", "gamma3pair.gls"),
+    ("quantum", "gamma3pair.gls"),
+    ("states", "--count-only", "gamma3pair.gls"),
+)
 
 
 def run_once(src: Path, argv: tuple[str, ...]) -> tuple[float, str]:
