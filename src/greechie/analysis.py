@@ -301,15 +301,18 @@ def _search(logic: Logic) -> tuple[dict[tuple[int, int], _Solved], _Solved]:
     and the OR and AND of its codes.  Counts multiply over components and
     add over branches.  An atom in no context (only in an unvalidated logic)
     is a component of its own with two branches, true and false.  The table
-    is filled on an explicit stack, so deep logics meet no recursion limit,
-    and every component enters it after its subcomponents.  A root with no
-    state has no live branch.
+    is filled on an explicit stack, so deep logics meet no recursion limit.
+    A component goes on it fresh, with the contexts it may branch among,
+    and comes back expanded, with its branches, under its subcomponents, so
+    it enters the table after them.  A root with no state has no live branch.
     """
     labels = logic.labels
     groups = (ctx.members for ctx in logic.contexts)
     contexts, blocks, owners = _orthogonality_graph(labels, groups)
 
-    def settle(queue: int, free: int, uncovered: int, seeds: int) -> tuple[int, list] | None:
+    def settle(
+        queue: int, free: int, uncovered: int, seeds: int, todo: list
+    ) -> tuple[int, list] | None:
         """Set the queued atoms true, then every atom some context is left
         with as its only open member, and split the uncovered contexts into
         components; None when a context loses all its open members.
@@ -317,14 +320,13 @@ def _search(logic: Logic) -> tuple[dict[tuple[int, int], _Solved], _Solved]:
         ``free`` holds the open atoms.  Every component left holds a context
         of ``seeds`` or one that lost an open member here, so a search from
         each such context but the last finds them all, and one that reaches
-        every other seed is all that is left.
+        every other seed is all that is left.  Each component also goes on
+        ``todo`` as a fresh entry, with those of its contexts as its seeds.
         """
         forced = 0
         while queue:
             atom = queue & -queue
             queue ^= atom
-            if not atom & free:
-                return None
             forced |= atom
             bit = atom.bit_length() - 1
             newly = blocks[bit] & free
@@ -364,18 +366,16 @@ def _search(logic: Logic) -> tuple[dict[tuple[int, int], _Solved], _Solved]:
                 break
             members &= uncovered
             parts.append((members, atoms))
-            cut.setdefault((members, atoms), seeds & members)
+            todo.append(((members, atoms), seeds & members, None))
             uncovered ^= members
             free ^= atoms
             seeds &= ~members
         if uncovered:
             parts.append((uncovered, free))
-            cut.setdefault((uncovered, free), seeds)
+            todo.append(((uncovered, free), seeds, None))
         return forced, parts
 
     solved: dict[tuple[int, int], _Solved] = {}  # keyed by (context indices, open atoms)
-    cut: dict[tuple[int, int], int] = {}  # per component, the seeds it was first cut off with
-    pending: dict[tuple[int, int], list] = {}
     covered = (1 << len(blocks)) - 1  # the atoms in some context
     for bit, mask in enumerate(blocks):
         if not mask:
@@ -399,22 +399,20 @@ def _search(logic: Logic) -> tuple[dict[tuple[int, int], _Solved], _Solved]:
                 live.append((forced, parts, one, every))
         return count, any_code, all_code, live
 
-    everything = (1 << len(contexts)) - 1
-    root = settle(0, covered, everything, everything) if all(contexts) else None
-    if root is None:
+    stack: list = []  # fresh (component, seeds, None) or expanded (component, 0, branches)
+    if not all(contexts):  # a context with no members admits no state
         return solved, (0, 0, -1, [])
-    root_forced, root_parts = root
+    everything = (1 << len(contexts)) - 1
+    root_forced, root_parts = settle(0, covered, everything, everything, stack)  # never None
     root_parts += list(solved)  # the atoms in no context
 
-    stack = list(root_parts)
     while stack:
-        part = stack.pop()
-        if part in solved:
-            continue
-        branches = pending.pop(part, None)
-        if branches is None:
+        part, rest, branches = stack.pop()
+        if branches is not None:
+            solved[part] = combine(branches)
+        elif part not in solved:
             members, atoms = part
-            choice, fewest, rest = 0, 0, cut[part]
+            choice = fewest = 0
             while rest:
                 low = rest & -rest
                 open_members = contexts[low.bit_length() - 1] & atoms
@@ -422,20 +420,15 @@ def _search(logic: Logic) -> tuple[dict[tuple[int, int], _Solved], _Solved]:
                 if not choice or size < fewest:
                     choice, fewest = open_members, size
                 rest ^= low
-            branches = []
+            branches, todo = [], []
             while choice:
                 atom = choice & -choice
-                branch = settle(atom, atoms, members, 0)
+                branch = settle(atom, atoms, members, 0, todo)
                 if branch is not None:
                     branches.append(branch)
                 choice ^= atom
-            todo = [p for _, parts in branches for p in parts if p not in solved]
-            if todo:
-                pending[part] = branches
-                stack.append(part)
-                stack += todo
-                continue
-        solved[part] = combine(branches)
+            stack.append((part, 0, branches))
+            stack += todo
     return solved, combine([(root_forced, root_parts)])
 
 

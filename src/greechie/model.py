@@ -111,7 +111,12 @@ class Quad:
         )
 
     def __float__(self) -> float:
-        return float(self.rat) + float(self.coef2) * SQRT2
+        rat, irr = float(self.rat), float(self.coef2) * SQRT2
+        if rat * irr < 0:  # opposite signs may cancel: the exact norm over the conjugate
+            (a, b), (c, d) = self.rat.as_integer_ratio(), self.coef2.as_integer_ratio()
+            p, q = (rat - irr).as_integer_ratio()
+            return ((a * d) ** 2 - 2 * (b * c) ** 2) * q / ((b * d) ** 2 * p)
+        return rat + irr
 
     def __str__(self) -> str:
         return format_quad(self)
@@ -494,7 +499,7 @@ class Logic:
         """Atom label -> labels of the contexts containing it."""
         out: dict[str, list[str]] = {a.label: [] for a in self.atoms}
         for c in self.contexts:
-            for m in c.members:
+            for m in set(c.members):
                 if m in out:
                     out[m].append(c.label)
         return {k: tuple(v) for k, v in out.items()}

@@ -74,7 +74,7 @@ def unit_vector(ray: Ray | Sequence[float], dimension: int) -> np.ndarray:
             f"expected {dimension}"
         )
     norm = float(np.linalg.norm(values))
-    if norm < 1e-12:
+    if not norm:
         raise LogicError("cannot normalize a zero ray")
     return values / norm
 

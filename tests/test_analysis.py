@@ -423,6 +423,18 @@ class TestEnumerateStates:
         assert [s.bits for s in enumerate_states(logic).states] == expected
         assert oracle_bitmask(logic) == expected
 
+    def test_context_with_no_members_admits_no_state(self):
+        logic = Logic(
+            3,
+            tuple(Atom(x) for x in "ABC"),
+            (Context("c0", ("A", "B", "C")), Context("c1", ())),
+        )
+        summary = summarize_states(logic)
+        report = enumerate_states(logic)
+        assert summary.count == 0 and report.codes == ()
+        assert summary.union == summary.inter == (0, 0, 0)
+        assert derive_rules(summary, logic).explosion
+
     def test_agrees_with_bitmask_scan_on_overlapping_contexts(
         self, oracle_bitmask, random_overlapping_contexts
     ):
@@ -793,7 +805,9 @@ class TestParityObstruction:
         )
         assert parity_obstruction(logic) is None
 
-    def test_certificate_implies_empty_state_space(self, random_parity_logic):
+    def test_certificate_implies_empty_state_space(
+        self, random_parity_logic, random_overlapping_contexts
+    ):
         import random
 
         rng = random.Random(53)
@@ -804,6 +818,12 @@ class TestParityObstruction:
             assert cert.context_count % 2 == 1
             assert all(m % 2 == 0 for _, m in cert.atom_multiplicities)
             assert enumerate_states(logic).empty
+        # A context that repeats a member counts once for it, as in the search.
+        rng = random.Random(5)
+        for _ in range(300):
+            logic = random_overlapping_contexts(rng)
+            if parity_obstruction(logic) is not None:
+                assert summarize_states(logic).count == 0
 
 
 class TestInferCollapses:

@@ -1157,7 +1157,9 @@ class TestExactRays:
         )
 
     @pytest.mark.parametrize(
-        "lead", ["1" + "0" * 400, "1/1" + "0" * 400, "-7" + "0" * 200], ids=["huge", "tiny", "large"]
+        "lead",
+        ["1" + "0" * 400, "1/1" + "0" * 400, "-7" + "0" * 200, "1/1" + "0" * 20],
+        ids=["huge", "tiny", "large", "small"],
     )
     @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
     def test_quantum_on_huge_and_tiny_components(self, capsys, tmp_path, monkeypatch, lead, mode):

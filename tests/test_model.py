@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import decimal
 import hashlib
 import json
 import random
@@ -80,6 +81,19 @@ class TestQuadArithmetic:
 
     def test_float_value(self):
         assert float(quad(1, 1)) == pytest.approx(2.414213562373095)
+
+    def test_float_value_when_the_terms_nearly_cancel(self):
+        # p - q*r2 = 1/(p + q*r2) whenever p^2 - 2q^2 = 1.
+        p, q = 3, 2
+        while p < 10**18:
+            with decimal.localcontext() as context:
+                context.prec = 50
+                exact = 1 / (decimal.Decimal(p) + q * decimal.Decimal(2).sqrt())
+            assert float(quad(p, -q)) == pytest.approx(float(exact), rel=1e-15, abs=0)
+            assert float(quad(-p, q)) == -float(quad(p, -q))
+            big = float(quad(p * 10**250, -q * 10**250))  # its squared terms pass 1e308
+            assert big == pytest.approx(float(exact * 10**250), rel=1e-15, abs=0)
+            p, q = 3 * p + 4 * q, 2 * p + 3 * q
 
     def test_subtraction_and_negation(self):
         a = quad(5, Fraction(-2, 3))
