@@ -255,7 +255,12 @@ def enumerate_states(logic: Logic) -> StateSpaceReport:
     ``_per_atom`` leaves out of its ``around`` table.  Each component's
     codes are kept sorted, and a branch combines its parts highest atoms
     first, so the products mostly come out as ascending runs and the final
-    sort, which is the guarantee, has little left to do.
+    sort, which is the guarantee, has little left to do.  Each code is built
+    once and each list held once: a branch with nothing forced (the root's,
+    or the false one of an atom in no context) starts from its first part's
+    own list, a component with one live branch keeps that branch's list,
+    and every list is sorted in place.  So a connected logic's listing is
+    its one component's list.
     """
     solved, root = _search(logic)
     labels, reached = logic.labels, {}
@@ -265,15 +270,19 @@ def enumerate_states(logic: Logic) -> StateSpaceReport:
     def expand(live: list) -> list[int]:
         codes: list[int] = []
         for forced, parts, _, _ in live:
-            branch = [forced]
-            for part in sorted(parts, key=itemgetter(1), reverse=True):
-                branch = [code | sub for code in branch for sub in listed[part]]
+            lists = map(listed.__getitem__, sorted(parts, key=itemgetter(1), reverse=True))
+            branch = [forced] if forced else next(lists, [0])
+            for subs in lists:
+                branch = [code | sub for code in branch for sub in subs]
+            if len(live) == 1:  # may be a listed part's own list, never extended
+                return branch
             codes += branch
         return codes
 
     for part, (_, _, _, live) in solved.items():
         if part in reached:
-            listed[part] = sorted(expand(live))
+            listed[part] = codes = expand(live)
+            codes.sort()
     codes = expand(root[3])
     codes.sort()
     return StateSpaceReport(labels, *summary, tuple(codes))
@@ -471,10 +480,10 @@ def _per_atom(
 
     for branch in root[3]:
         visit(0, 0, *branch)
-    for part in reversed(solved):  # every component after all that lead to it
+    for part, (_, _, _, live) in reversed(solved.items()):  # each after all that lead to it
         seen = around.get(part)
         if seen is not None:
-            for branch in solved[part][3]:
+            for branch in live:
                 visit(*seen, *branch)
     union.reverse()
     inter.reverse()

@@ -374,6 +374,56 @@ class TestEnumerateStates:
         assert report.codes == () and report.empty
         assert peak - before < 2**20
 
+    def test_listing_holds_each_code_once(self):
+        """star7's 326 592 states peak at about 48 bytes a state: each code is
+        built once and each list of codes held once.  A copy of the root's
+        list and a sorted copy of each component's list took 89."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = enumerate_states(make_star(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.count == 326_592
+        assert peak - before < 64 * report.count
+
+    @pytest.mark.parametrize(
+        "logic",
+        [
+            pytest.param(make_star(4), id="connected"),
+            pytest.param(
+                Logic(
+                    3,
+                    tuple(Atom(x) for x in "ABCDEFGH"),
+                    (Context("c0", tuple("ABC")), Context("c1", tuple("CDE")), Context("c2", tuple("FGH"))),
+                ),
+                id="two-components",
+            ),
+            pytest.param(
+                Logic(3, tuple(Atom(x) for x in "ABCX"), (Context("c0", tuple("ABC")),)),
+                id="atom-in-no-context",
+            ),
+            pytest.param(
+                Logic(
+                    2,
+                    tuple(Atom(x) for x in "ABC"),
+                    (Context("c0", tuple("AB")), Context("c1", tuple("BC")), Context("c2", tuple("CA"))),
+                ),
+                id="no-state",
+            ),
+            pytest.param(parse_logic("dim 3\n"), id="no-atom"),
+        ],
+    )
+    def test_listing_agrees_with_bitmask_scan_twice(self, logic, oracle_bitmask):
+        """Each shape of root the expansion meets: one part with nothing
+        forced, two parts, a part that is an atom in no context, no live
+        branch, and no part.  Lists are shared and sorted in place, so a
+        second listing of the same logic must equal the first."""
+        report = enumerate_states(logic)
+        assert [s.bits for s in report.states] == oracle_bitmask(logic)
+        assert enumerate_states(logic) == report
+
     def test_unreached_component_is_not_listed_beside_live_ones(self):
         """A logic with one state, whose dead branch solves star7 beside an
         odd triangle.  An atom ``y`` joins every star7 context and the

@@ -1076,7 +1076,7 @@ class TestStreamedListing:
 
     @LIST_MODES
     def test_peak_memory_stays_near_the_codes(self, star7, mode):
-        """star7's 326 592 codes peak at about 28 MiB while they are listed;
+        """star7's 326 592 codes peak at about 15 MiB while they are listed;
         holding every bit string, or the whole text, took 69 MiB as text and
         94 MiB as JSON."""
         tracemalloc.start()
