@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .model import (
@@ -240,7 +239,7 @@ def bit_strings_of(codes: Iterable[int], width: int) -> list[str]:
 def summarize_states(logic: Logic) -> StateSummary:
     """Count the two-valued states and fold them into per-atom codes without
     listing any."""
-    return StateSummary(logic.labels, *_per_atom(len(logic.labels), *_search(logic), {}))
+    return StateSummary(logic.labels, *_per_atom(len(logic.labels), _search(logic))[:3])
 
 
 def enumerate_states(logic: Logic) -> StateSpaceReport:
@@ -249,52 +248,51 @@ def enumerate_states(logic: Logic) -> StateSpaceReport:
 
     A component's codes are, per live branch, its forced atoms ORed into
     every combination of its subcomponents' codes.  The table lists
-    children before parents, so one pass over it in that order lists each
-    component once; it skips the components that no live branch from the
-    root reaches, whose states no state of the logic extends, and which
-    ``_per_atom`` leaves out of its ``around`` table.  Each component's
-    codes are kept sorted, and a branch combines its parts highest atoms
-    first, so the products mostly come out as ascending runs and the final
-    sort, which is the guarantee, has little left to do.  Each code is built
-    once and each list held once: a branch with nothing forced (the root's,
-    or the false one of an atom in no context) starts from its first part's
+    children before parents and the root last, so one pass over it lists
+    each component once, and the last list built is the listing.  The pass
+    skips the components that ``_per_atom`` finds no live branch reaching,
+    whose states no state of the logic extends.  Each component's codes are
+    kept sorted, and a branch combines its parts highest OR code first (the
+    parts' ORs are disjoint, so that is the highest ever-true atom first),
+    so the products mostly come out as ascending runs and the final sort,
+    which is the guarantee, has little left to do.  Each code is built once
+    and each list held once: a branch with nothing forced (the root's, or
+    the false one of an atom in no context) starts from its first part's
     own list, a component with one live branch keeps that branch's list,
     and every list is sorted in place.  So a connected logic's listing is
     its one component's list.
     """
-    solved, root = _search(logic)
-    labels, reached = logic.labels, {}
-    summary = _per_atom(len(labels), solved, root, reached)
-    listed: dict[tuple[int, int], list[int]] = {}
-
-    def expand(live: list) -> list[int]:
-        codes: list[int] = []
-        for forced, parts, _, _ in live:
-            lists = map(listed.__getitem__, sorted(parts, key=itemgetter(1), reverse=True))
-            branch = [forced] if forced else next(lists, [0])
-            for subs in lists:
-                branch = [code | sub for code in branch for sub in subs]
-            if len(live) == 1:  # may be a listed part's own list, never extended
-                return branch
-            codes += branch
-        return codes
-
-    for part, (_, _, _, live) in solved.items():
-        if part in reached:
-            listed[part] = codes = expand(live)
+    table = _search(logic)
+    *summary, around = _per_atom(len(logic.labels), table)
+    listed: list = []  # per entry of the table, its sorted codes, or None
+    for (_, _, _, live), seen in zip(table, around):
+        codes = None
+        if seen is not None:
+            codes = []
+            for forced, parts, _, _ in live:
+                parts = sorted(parts, key=lambda part: table[part][1], reverse=True)
+                lists = map(listed.__getitem__, parts)
+                branch = [forced] if forced else next(lists, [0])
+                for subs in lists:
+                    branch = [code | sub for code in branch for sub in subs]
+                if len(live) == 1:  # may be a listed part's own list, never extended
+                    codes = branch
+                    break
+                codes += branch
             codes.sort()
-    codes = expand(root[3])
-    codes.sort()
-    return StateSpaceReport(labels, *summary, tuple(codes))
+        listed.append(codes)
+    return StateSpaceReport(logic.labels, *summary, tuple(codes))
 
 
 # A solved component: (count, OR, AND, live branches), a live branch being
-# (forced atoms, subcomponents, OR, AND) over the states through it.
+# (forced atoms, the table positions of its subcomponents, OR, AND) over the
+# states through it.
 _Solved = tuple[int, int, int, list]
 
 
-def _search(logic: Logic) -> tuple[dict[tuple[int, int], _Solved], _Solved]:
-    """The component table of the state search and the solved root.
+def _search(logic: Logic) -> list[_Solved]:
+    """The component table of the state search: every solved component,
+    children before parents, with the solved root last.
 
     The search covers contexts by atoms as Knuth's Algorithm X does, over
     int masks (``labels[0]`` the most significant bit): it branches on the
@@ -313,7 +311,10 @@ def _search(logic: Logic) -> tuple[dict[tuple[int, int], _Solved], _Solved]:
     is filled on an explicit stack, so deep logics meet no recursion limit.
     A component goes on it fresh, with the contexts it may branch among,
     and comes back expanded, with its branches, under its subcomponents, so
-    it enters the table after them.  A root with no state has no live branch.
+    it enters the table after them.  Keys never leave this function: a
+    private dict maps each key to its position in the table, and a live
+    branch names its subcomponents by their positions.  A root with no
+    state has no live branch.
     """
     labels = logic.labels
     groups = (ctx.members for ctx in logic.contexts)
@@ -384,20 +385,22 @@ def _search(logic: Logic) -> tuple[dict[tuple[int, int], _Solved], _Solved]:
             todo.append(((uncovered, free), seeds, None))
         return forced, parts
 
-    solved: dict[tuple[int, int], _Solved] = {}  # keyed by (context indices, open atoms)
+    table: list[_Solved] = []
+    place: dict[tuple[int, int], int] = {}  # (context indices, open atoms) -> position in table
     covered = (1 << len(blocks)) - 1  # the atoms in some context
     for bit, mask in enumerate(blocks):
         if not mask:
             atom = 1 << bit
             covered ^= atom
-            solved[0, atom] = (2, atom, 0, [(atom, (), atom, atom), (0, (), 0, 0)])
+            place[0, atom] = len(table)
+            table.append((2, atom, 0, [(atom, (), atom, atom), (0, (), 0, 0)]))
 
     def combine(branches: Iterable[tuple[int, list]]) -> _Solved:
         count, any_code, all_code, live = 0, 0, -1, []
         for forced, parts in branches:
             product, one, every = 1, forced, forced
             for part in parts:
-                part_count, part_any, part_all, _ = solved[part]
+                part_count, part_any, part_all, _ = table[place[part]]
                 product *= part_count
                 one |= part_any
                 every |= part_all
@@ -405,21 +408,22 @@ def _search(logic: Logic) -> tuple[dict[tuple[int, int], _Solved], _Solved]:
                 count += product
                 any_code |= one
                 all_code &= every
-                live.append((forced, parts, one, every))
+                live.append((forced, tuple(map(place.__getitem__, parts)), one, every))
         return count, any_code, all_code, live
 
     stack: list = []  # fresh (component, seeds, None) or expanded (component, 0, branches)
     if not all(contexts):  # a context with no members admits no state
-        return solved, (0, 0, -1, [])
+        return table + [(0, 0, -1, [])]
     everything = (1 << len(contexts)) - 1
     root_forced, root_parts = settle(0, covered, everything, everything, stack)  # never None
-    root_parts += list(solved)  # the atoms in no context
+    root_parts += place  # the atoms in no context
 
     while stack:
         part, rest, branches = stack.pop()
         if branches is not None:
-            solved[part] = combine(branches)
-        elif part not in solved:
+            place[part] = len(table)
+            table.append(combine(branches))
+        elif part not in place:
             members, atoms = part
             choice = fewest = 0
             while rest:
@@ -438,56 +442,52 @@ def _search(logic: Logic) -> tuple[dict[tuple[int, int], _Solved], _Solved]:
                 choice ^= atom
             stack.append((part, 0, branches))
             stack += todo
-    return solved, combine([(root_forced, root_parts)])
+    table.append(combine([(root_forced, root_parts)]))
+    return table
 
 
-def _per_atom(
-    n: int, solved: dict[tuple[int, int], _Solved], root: _Solved, around: dict
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+def _per_atom(n: int, table: list[_Solved]) -> tuple[int, tuple[int, ...], tuple[int, ...], list]:
     """The count and, per label, the ``union`` and ``inter`` codes of a
-    solved search over ``n`` atoms.
+    search's component table over ``n`` atoms, and what lies around each
+    entry of the table.
 
-    The pass walks the solved components from the root down.  Each
-    component gets the OR and the AND of the codes of everything around it
-    on the ways that reach it, and an atom forced in one of its branches
-    gets those, each joined with the branch's own OR or AND: the ``union``
-    and ``inter`` of that atom, over every state.  ``around``, empty on
-    entry, is left keyed by the components that a live branch from the
-    root reaches.
+    The pass walks the table backwards, from the root, so it reaches each
+    component after every component that leads to it.  Each component gets
+    the OR and the AND of the codes of everything around it on the ways that
+    reach it, and an atom forced in one of its branches gets those, each
+    joined with the branch's own OR or AND: the ``union`` and ``inter`` of
+    that atom, over every state.  ``around`` holds those two codes per
+    entry: ``[0, 0]`` for the root, and None for each component that no
+    live branch from the root reaches.
     """
     union, inter = [0] * n, [-1] * n  # per bit, not per label
-
-    def visit(out_any: int, out_all: int, forced: int, parts, one: int, every: int) -> None:
-        """Credit one live branch, reached with ``out_any``/``out_all`` around
-        it: its forced atoms get every code through it, and each of its
-        subcomponents what lies around that one."""
-        one |= out_any
-        every |= out_all
-        while forced:
-            atom = forced & -forced
-            bit = atom.bit_length() - 1
-            union[bit] |= one
-            inter[bit] &= every
-            forced ^= atom
-        for part in parts:
-            _, part_any, part_all, _ = solved[part]
-            seen = around.get(part)
-            if seen is None:
-                around[part] = [one ^ part_any, every ^ part_all]
-            else:
-                seen[0] |= one ^ part_any
-                seen[1] &= every ^ part_all
-
-    for branch in root[3]:
-        visit(0, 0, *branch)
-    for part, (_, _, _, live) in reversed(solved.items()):  # each after all that lead to it
-        seen = around.get(part)
-        if seen is not None:
-            for branch in live:
-                visit(*seen, *branch)
+    around: list = [None] * (len(table) - 1) + [[0, 0]]
+    # reversed() reads each entry of around when the walk gets to it, so it
+    # sees what the entries before it in the walk filled in
+    for (_, _, _, live), seen in zip(reversed(table), reversed(around)):
+        if seen is None:
+            continue
+        out_any, out_all = seen
+        for forced, parts, one, every in live:
+            one |= out_any
+            every |= out_all
+            while forced:
+                atom = forced & -forced
+                bit = atom.bit_length() - 1
+                union[bit] |= one
+                inter[bit] &= every
+                forced ^= atom
+            for part in parts:
+                _, part_any, part_all, _ = table[part]
+                seen = around[part]
+                if seen is None:
+                    around[part] = [one ^ part_any, every ^ part_all]
+                else:
+                    seen[0] |= one ^ part_any
+                    seen[1] &= every ^ part_all
     union.reverse()
     inter.reverse()
-    return root[0], tuple(union), tuple(map(int.__and__, inter, union))
+    return table[-1][0], tuple(union), tuple(map(int.__and__, inter, union)), around
 
 
 # --------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from greechie.analysis import (
     StateSummary,
     _labels_of,
     _maximal_cliques,
+    _per_atom,
+    _search,
     _shared_witnesses,
     complete_contexts,
     derive_rules,
@@ -266,6 +268,21 @@ CORPUS_STATE_FACTS = {
 }
 
 
+def star7_on_a_dead_branch() -> Logic:
+    """A logic with one state, whose dead branch solves star7 beside an odd
+    triangle.  An atom ``y`` joins every star7 context and the triangle's,
+    and a context ``r`` holds ``x`` and ``y``: ``y`` true is the one state,
+    and ``x`` true leaves star7's 326 592 states beside a triangle with
+    none."""
+    star = make_star(7)
+    triangle = ("t0", "t1"), ("t1", "t2"), ("t2", "t0")
+    contexts = [Context(c.label, (*c.members, "y")) for c in star.contexts]
+    contexts += [Context(f"t{i}", (*pair, "y")) for i, pair in enumerate(triangle)]
+    contexts.append(Context("r", ("x", "y")))
+    atoms = star.atoms + tuple(Atom(label) for label in ("t0", "t1", "t2", "x", "y"))
+    return Logic(8, atoms, tuple(contexts))
+
+
 class TestEnumerateStates:
     @pytest.mark.parametrize("name", sorted(CORPUS_STATE_FACTS))
     def test_corpus_counts_and_flags(self, corpus, name):
@@ -425,18 +442,9 @@ class TestEnumerateStates:
         assert enumerate_states(logic) == report
 
     def test_unreached_component_is_not_listed_beside_live_ones(self):
-        """A logic with one state, whose dead branch solves star7 beside an
-        odd triangle.  An atom ``y`` joins every star7 context and the
-        triangle's, and a context ``r`` holds ``x`` and ``y``: ``y`` true is
-        the one state, and ``x`` true leaves star7's 326 592 states beside a
-        triangle with none.  Listing them peaked at about 15 MiB."""
-        star = make_star(7)
-        triangle = ("t0", "t1"), ("t1", "t2"), ("t2", "t0")
-        contexts = [Context(c.label, (*c.members, "y")) for c in star.contexts]
-        contexts += [Context(f"t{i}", (*pair, "y")) for i, pair in enumerate(triangle)]
-        contexts.append(Context("r", ("x", "y")))
-        atoms = star.atoms + tuple(Atom(label) for label in ("t0", "t1", "t2", "x", "y"))
-        logic = Logic(8, atoms, tuple(contexts))
+        """Listing the star7 states of ``star7_on_a_dead_branch`` peaked at
+        about 15 MiB."""
+        logic = star7_on_a_dead_branch()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -517,6 +525,48 @@ class TestEnumerateStates:
             assert report.separating == (
                 bool(states) and len(set(columns)) == len(columns)
             )
+
+
+class TestComponentTable:
+    """The table that ``_search`` hands to ``_per_atom`` and
+    ``enumerate_states``: a list with children before parents and the root
+    last, whose live branches name their parts by position."""
+
+    @pytest.mark.parametrize(
+        "logic",
+        [
+            *map(load_corpus, CORPUS_FILES),
+            *(make_star(d) for d in range(3, 7)),
+            star7_on_a_dead_branch(),
+            Logic(3, tuple(Atom(x) for x in "ABCX"), (Context("c0", tuple("ABC")),)),
+            Logic(3, tuple(Atom(x) for x in "ABC"), (Context("c0", tuple("ABC")), Context("c1", ()))),
+        ],
+        ids=[
+            *CORPUS_FILES,
+            *(f"star{d}" for d in range(3, 7)),
+            "star7-on-a-dead-branch",
+            "atom-in-no-context",
+            "empty-context",
+        ],
+    )
+    def test_shape(self, logic):
+        table = _search(logic)
+        count, _, _, around = _per_atom(len(logic.labels), table)
+        assert table[-1][0] == count == summarize_states(logic).count
+        assert len(around) == len(table)
+        reached = {len(table) - 1}
+        for at in reversed(range(len(table))):
+            for _, parts, _, _ in table[at][3]:
+                assert all(0 <= part < at for part in parts), at
+                if at in reached:
+                    reached.update(parts)
+        assert {at for at, seen in enumerate(around) if seen is not None} == reached
+
+    def test_dead_branch_leaves_its_component_solved_and_unreached(self):
+        logic = star7_on_a_dead_branch()
+        table = _search(logic)
+        around = _per_atom(len(logic.labels), table)[3]
+        assert [seen for (count, *_), seen in zip(table, around) if count == 326_592] == [None]
 
 
 def fields(summary):
