@@ -306,32 +306,36 @@ def _search(logic: Logic) -> list[_Solved]:
     (the component caching of Thurley's sharpSAT, SAT 2006): per branch the
     atoms it forced and its subcomponents, and over all branches its count
     and the OR and AND of its codes.  Counts multiply over components and
-    add over branches.  An atom in no context (only in an unvalidated logic)
-    is a component of its own with two branches, true and false.  The table
-    is filled on an explicit stack, so deep logics meet no recursion limit.
-    A component goes on it fresh, with the contexts it may branch among,
-    and comes back expanded, with its branches, under its subcomponents, so
-    it enters the table after them.  Keys never leave this function: a
-    private dict maps each key to its position in the table, and a live
-    branch names its subcomponents by their positions.  A root with no
-    state has no live branch.
+    add over branches.  The table is filled on an explicit stack, so deep
+    logics meet no recursion limit.  The root goes on it first, already
+    expanded, with every part of the logic in its one branch.  Each atom in
+    no context (only in an unvalidated logic) follows as an expanded entry
+    with a true branch and a false branch.  A component goes on it fresh,
+    with the contexts it may branch among, and comes back expanded, with
+    its branches, under the subcomponents that ``settle`` pushes for them.
+    Every entry of the table is made by ``combine`` as its expanded entry
+    leaves the stack, so it enters after its parts, and the root's comes
+    last.  Keys never leave this function: a private dict maps each key to
+    its position in the table, and a live branch names its subcomponents by
+    their positions.  A root with no state has no live branch.
     """
     labels = logic.labels
     groups = (ctx.members for ctx in logic.contexts)
     contexts, blocks, owners = _orthogonality_graph(labels, groups)
 
-    def settle(
-        queue: int, free: int, uncovered: int, seeds: int, todo: list
-    ) -> tuple[int, list] | None:
+    def settle(queue: int, free: int, uncovered: int, seeds: int) -> tuple[int, list] | None:
         """Set the queued atoms true, then every atom some context is left
         with as its only open member, and split the uncovered contexts into
-        components; None when a context loses all its open members.
+        components; None when a context loses all its open members, which
+        is found before anything goes on the stack.
 
         ``free`` holds the open atoms.  Every component left holds a context
         of ``seeds`` or one that lost an open member here, so a search from
         each such context but the last finds them all, and one that reaches
-        every other seed is all that is left.  Each component also goes on
-        ``todo`` as a fresh entry, with those of its contexts as its seeds.
+        every other seed is all that is left.  A seed with no open member is
+        a component of its own.  ``settle`` pushes each component it cuts
+        onto ``stack`` as a fresh entry, with those of its contexts as its
+        seeds.
         """
         forced = 0
         while queue:
@@ -360,8 +364,8 @@ def _search(logic: Logic) -> list[_Solved]:
         seeds &= uncovered
         parts = []
         while seeds & (seeds - 1):
-            members = 0
-            atoms = frontier = contexts[(seeds & -seeds).bit_length() - 1] & free
+            members = seeds & -seeds
+            atoms = frontier = contexts[members.bit_length() - 1] & free
             while frontier and seeds & ~members:
                 reach = 0
                 while frontier:
@@ -376,24 +380,17 @@ def _search(logic: Logic) -> list[_Solved]:
                 break
             members &= uncovered
             parts.append((members, atoms))
-            todo.append(((members, atoms), seeds & members, None))
+            stack.append(((members, atoms), seeds & members, None))
             uncovered ^= members
             free ^= atoms
             seeds &= ~members
         if uncovered:
             parts.append((uncovered, free))
-            todo.append(((uncovered, free), seeds, None))
+            stack.append(((uncovered, free), seeds, None))
         return forced, parts
 
     table: list[_Solved] = []
     place: dict[tuple[int, int], int] = {}  # (context indices, open atoms) -> position in table
-    covered = (1 << len(blocks)) - 1  # the atoms in some context
-    for bit, mask in enumerate(blocks):
-        if not mask:
-            atom = 1 << bit
-            covered ^= atom
-            place[0, atom] = len(table)
-            table.append((2, atom, 0, [(atom, (), atom, atom), (0, (), 0, 0)]))
 
     def combine(branches: Iterable[tuple[int, list]]) -> _Solved:
         count, any_code, all_code, live = 0, 0, -1, []
@@ -411,12 +408,20 @@ def _search(logic: Logic) -> list[_Solved]:
                 live.append((forced, tuple(map(place.__getitem__, parts)), one, every))
         return count, any_code, all_code, live
 
-    stack: list = []  # fresh (component, seeds, None) or expanded (component, 0, branches)
-    if not all(contexts):  # a context with no members admits no state
-        return table + [(0, 0, -1, [])]
+    # Entries are fresh (component, seeds, None) or expanded (component, 0,
+    # branches).  The root's one branch holds the logic's parts, and no part
+    # has the root's key (0, 0).
+    root: list = []
+    stack: list = [((0, 0), 0, [(0, root)])]
+    covered = (1 << len(blocks)) - 1  # the atoms in some context
+    for bit, mask in enumerate(blocks):
+        if not mask:
+            atom = 1 << bit
+            covered ^= atom
+            root.append((0, atom))
+            stack.append(((0, atom), 0, [(atom, []), (0, [])]))
     everything = (1 << len(contexts)) - 1
-    root_forced, root_parts = settle(0, covered, everything, everything, stack)  # never None
-    root_parts += place  # the atoms in no context
+    root += settle(0, covered, everything, everything)[1]
 
     while stack:
         part, rest, branches = stack.pop()
@@ -433,16 +438,14 @@ def _search(logic: Logic) -> list[_Solved]:
                 if not choice or size < fewest:
                     choice, fewest = open_members, size
                 rest ^= low
-            branches, todo = [], []
+            branches = []
+            stack.append((part, 0, branches))
             while choice:
                 atom = choice & -choice
-                branch = settle(atom, atoms, members, 0, todo)
+                branch = settle(atom, atoms, members, 0)
                 if branch is not None:
                     branches.append(branch)
                 choice ^= atom
-            stack.append((part, 0, branches))
-            stack += todo
-    table.append(combine([(root_forced, root_parts)]))
     return table
 
 

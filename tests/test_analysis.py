@@ -481,16 +481,21 @@ class TestEnumerateStates:
         assert [s.bits for s in enumerate_states(logic).states] == expected
         assert oracle_bitmask(logic) == expected
 
-    def test_context_with_no_members_admits_no_state(self):
-        logic = Logic(
-            3,
-            tuple(Atom(x) for x in "ABC"),
-            (Context("c0", ("A", "B", "C")), Context("c1", ())),
-        )
+    @pytest.mark.parametrize(
+        "logic",
+        [
+            Logic(3, tuple(Atom(x) for x in "ABC"), (Context("c0", tuple("ABC")), Context("c1", ()))),
+            Logic(3, tuple(Atom(x) for x in "ABC"), (Context("c1", ()), Context("c0", tuple("ABC")))),
+            Logic(3, tuple(Atom(x) for x in "ABCX"), (Context("c1", ()), Context("c0", tuple("ABC")))),
+            Logic(3, (), (Context("c0", ()), Context("c1", ()))),
+        ],
+        ids=["declared-last", "declared-first", "beside-an-atom-in-no-context", "two-and-no-atoms"],
+    )
+    def test_context_with_no_members_admits_no_state(self, logic):
         summary = summarize_states(logic)
         report = enumerate_states(logic)
         assert summary.count == 0 and report.codes == ()
-        assert summary.union == summary.inter == (0, 0, 0)
+        assert summary.union == summary.inter == (0,) * len(logic.labels)
         assert derive_rules(summary, logic).explosion
 
     def test_agrees_with_bitmask_scan_on_overlapping_contexts(
@@ -540,6 +545,8 @@ class TestComponentTable:
             star7_on_a_dead_branch(),
             Logic(3, tuple(Atom(x) for x in "ABCX"), (Context("c0", tuple("ABC")),)),
             Logic(3, tuple(Atom(x) for x in "ABC"), (Context("c0", tuple("ABC")), Context("c1", ()))),
+            Logic(3, tuple(Atom(x) for x in "ABCX"), (Context("c1", ()), Context("c0", tuple("ABC")))),
+            Logic(3, (), ()),
         ],
         ids=[
             *CORPUS_FILES,
@@ -547,6 +554,8 @@ class TestComponentTable:
             "star7-on-a-dead-branch",
             "atom-in-no-context",
             "empty-context",
+            "empty-context-first-beside-an-atom-in-no-context",
+            "no-atoms-no-contexts",
         ],
     )
     def test_shape(self, logic):
