@@ -234,9 +234,11 @@ def _report_quantum(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[
         return doc, [line], row.violated
 
     rows = qm.falsification_report(logic, rules, pair)
-    lines = [f"{r.kind} ({r.pair[0]},{r.pair[1]}): {claim(r)}" for r in rows]
     violated_count = sum(1 for r in rows if r.violated)
-    lines.append(f"{violated_count} of {len(rows)} rules violated")
+    lines = []
+    if not args.json:  # a JSON run writes no text line
+        lines = [f"{r.kind} ({r.pair[0]},{r.pair[1]}): {claim(r)}" for r in rows]
+        lines.append(f"{violated_count} of {len(rows)} rules violated")
     return {"rows": [vars(r) for r in rows]}, lines, violated_count > 0
 
 

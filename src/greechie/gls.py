@@ -14,11 +14,12 @@ logics (atoms without rays) are legal; operations that need rays refuse to run
 on them with a clear error.
 
 ``parse_logic`` reads a file in one pass, up to the first grammar fault, and
-checks the declarations read with ``model.first_fault``: in bulk, with sets,
-when every atom line comes before the first context line, and one
-declaration at a time, in file order, to name a fault or when an atom line
-follows a context line.  A structural fault is shown at its declaration's
-line; one above a grammar fault comes first.
+checks the declarations read in bulk, with ``model.bulk_check``'s sets and,
+when atom lines sit among context lines, a check that every context member
+is declared on an earlier line.  Only to name a fault does
+``model.first_fault`` walk them one declaration at a time, in file order.
+A structural fault is shown at its declaration's line; one above a grammar
+fault comes first.
 
 ``serialize_logic`` emits the canonical form: atoms sorted by label, contexts
 in declared order, components as canonical tokens, LF line endings.  It
@@ -33,7 +34,8 @@ from importlib import resources
 from pathlib import Path
 
 from .model import (
-    Atom, Context, Logic, LogicError, Ray, first_fault, format_quad, parse_quad, quote_token,
+    Atom, Context, Logic, LogicError, Ray, bulk_check, first_fault, format_quad, parse_quad,
+    quote_token,
 )
 from .model import rays_collinear  # noqa: F401  (bench/spans.py traces it under this name)
 
@@ -117,7 +119,7 @@ def parse_logic(text: str) -> Logic:
     dimension = None
     atoms: list[Atom] = []
     contexts: list[Context] = []
-    interleaved = False  # an atom line follows a context line
+    late: dict[str, int] = {}  # atom declared after a context line -> contexts above it
     fault = None  # the first grammar fault: line number, token index, message
     for lineno, pieces in enumerate(lines, start=1):
         tokens = pieces
@@ -141,7 +143,7 @@ def parse_logic(text: str) -> Logic:
                     fault = lineno, len(values) + 2, str(exc)
                     break
             if contexts:
-                interleaved = True
+                late[tokens[1]] = len(contexts)
             atoms.append(Atom(tokens[1], ray))
         elif keyword == "context" and len(tokens) > 1 and dimension is not None:
             contexts.append(Context(tokens[1], tokens[2:]))
@@ -169,12 +171,19 @@ def parse_logic(text: str) -> Logic:
 
     if dimension is not None:
         count = len(atoms) + len(contexts)
-        declarations = None
-        if interleaved:
+        structural = None
+        if not late:
+            structural = first_fault(dimension, atoms, contexts)
+        # Atom lines among context lines: sets decide when every context
+        # member is declared above its context, else the walk in file order.
+        elif not (
+            bulk_check(dimension, atoms, contexts)
+            and all(late.get(m, 0) <= k for k, c in enumerate(contexts) for m in c.members)
+        ):
             typed = {"atom": iter(atoms), "context": iter(contexts)}
             kinds = [next(filter(None, pieces)) for _, pieces in _declaration_lines(lines)]
             declarations = [next(typed[kind]) for kind in kinds[1 : count + 1]]
-        structural = first_fault(dimension, atoms, contexts, declarations)
+            structural = first_fault(dimension, atoms, contexts, declarations)
         # An atom in no context is a fault only at the end of the file.
         if structural is not None and (fault is None or structural[0] < count):
             index, exc = structural

@@ -350,31 +350,38 @@ def first_fault(
     ``len(atoms) + len(contexts)`` an atom in no context; the fault's ``token``
     locates it inside the declaration.
 
-    Without ``declarations`` the rules are decided with whole-logic sets, and
+    Without ``declarations`` the rules are decided with ``bulk_check``, and
     the declarations are walked one at a time only to name a fault.
     """
     if declarations is None:
-        labels = {a.label for a in atoms}
-        rays = [a.ray for a in atoms if a.ray is not None]
-        members = [c.members for c in contexts]
-        sizes = list(map(len, members))
-        member_sets = list(map(frozenset, members))
-        # Equal totals mean no context repeats a member; the union of the member
-        # sets is the declared labels when every member is declared and every atom used.
-        if (
-            dimension >= 3
-            and len(labels) == len(atoms)
-            and all(len(r) == dimension for r in rays)
-            and len({r.key for r in rays}) == len(rays)
-            and len({c.label for c in contexts}) == len(contexts)
-            and (not sizes or min(sizes) >= 2 and max(sizes) <= dimension)
-            and sum(map(len, member_sets)) == sum(sizes)
-            and len(set(member_sets)) == len(member_sets)
-            and labels == set().union(*member_sets)
-        ):
+        if bulk_check(dimension, atoms, contexts):
             return None
         declarations = (*atoms, *contexts)
     return _walk(dimension, declarations)
+
+
+def bulk_check(dimension: int, atoms: Sequence[Atom], contexts: Sequence[Context]) -> bool:
+    """Whether ``first_fault``, reading atoms first, finds no fault, decided
+    with whole-logic sets.  Read in another order the logic also needs each
+    context member declared before its context; sets cannot see that."""
+    labels = {a.label for a in atoms}
+    rays = [a.ray for a in atoms if a.ray is not None]
+    members = [c.members for c in contexts]
+    sizes = list(map(len, members))
+    member_sets = list(map(frozenset, members))
+    # Equal totals mean no context repeats a member; the union of the member
+    # sets is the declared labels when every member is declared and every atom used.
+    return (
+        dimension >= 3
+        and len(labels) == len(atoms)
+        and all(len(r) == dimension for r in rays)
+        and len({r.key for r in rays}) == len(rays)
+        and len({c.label for c in contexts}) == len(contexts)
+        and (not sizes or min(sizes) >= 2 and max(sizes) <= dimension)
+        and sum(map(len, member_sets)) == sum(sizes)
+        and len(set(member_sets)) == len(member_sets)
+        and labels == set().union(*member_sets)
+    )
 
 
 def _walk(

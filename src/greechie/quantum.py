@@ -15,7 +15,9 @@ psi (``_contract``), never from the closed formula.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Literal, Sequence
 
 import numpy as np
@@ -24,6 +26,11 @@ from .analysis import RuleSet
 from .model import Context, Logic, LogicError, Ray, quote_token
 
 PROB_TOL = 1e-9
+
+# The contraction order ``optimize=True`` picks for ``_contract``'s einsum at
+# every stack shape checked (tests/test_quantum.py pins it), passed as a path
+# so that no contraction reruns the greedy path search.
+CONTRACTION_PATH = ["einsum_path", (0, 1), (0, 2), (0, 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,18 +69,22 @@ class JointPrediction:
             )
 
 
+def _wrong_length(size: int | str, dimension: int) -> LogicError:
+    return LogicError(f"ray has {size} components, expected {dimension}")
+
+
 def unit_vector(ray: Ray | Sequence[float], dimension: int) -> np.ndarray:
-    """Float unit vector for a ray; rejects zero input and wrong length."""
+    """Float unit vector for a ray; rejects zero input and wrong length.
+
+    The norm is ``np.linalg.norm``'s for a 1-D float array, taken by its own
+    steps: the square root of the vector's dot product with itself."""
     if isinstance(ray, Ray):
         values = np.array(ray.floats(), dtype=float)
     else:
         values = np.asarray(ray, dtype=float)
     if values.shape != (dimension,):
-        raise LogicError(
-            f"ray has {values.shape[0] if values.ndim == 1 else '?'} components, "
-            f"expected {dimension}"
-        )
-    norm = float(np.linalg.norm(values))
+        raise _wrong_length(values.shape[0] if values.ndim == 1 else "?", dimension)
+    norm = math.sqrt(values.dot(values))
     if not norm:
         raise LogicError("cannot normalize a zero ray")
     return values / norm
@@ -93,7 +104,7 @@ def _contract(pair: EntangledPair, lefts: np.ndarray, rights: np.ndarray) -> np.
     left = np.stack([proj_a, proj_a, identity], axis=1)
     right = np.stack([proj_b, identity, proj_b], axis=1)
     psi = pair.amplitudes
-    return np.einsum("ij,nsik,nsjl,kl->ns", psi, left, right, psi, optimize=True)
+    return np.einsum("ij,nsik,nsjl,kl->ns", psi, left, right, psi, optimize=CONTRACTION_PATH)
 
 
 def joint_probability(
@@ -155,8 +166,11 @@ def falsification_report(
     """Confront every derived rule with the entangled-state prediction: the
     one-zero pairs in sorted order, then the equivalences as sorted pairs.
 
-    Every atom's ray is looked up first, so an abstract logic is refused
-    even when it has no rules; with no rules nothing is contracted.
+    Every atom's ray is looked up first, in label order, so an abstract logic
+    is refused even when it has no rules, and so is a ray of the wrong
+    length, with ``unit_vector``'s message.  Unit vectors are made only for
+    the atoms the rule pairs name: with no rules nothing is normalized or
+    contracted.
     """
     if pair.dimension != logic.dimension:
         raise LogicError(
@@ -164,12 +178,16 @@ def falsification_report(
             f"logic has {logic.dimension}"
         )
     d = pair.dimension
-    vectors = [unit_vector(logic.ray_of(x), d) for x in logic.labels]
+    for x in logic.labels:
+        size = len(logic.ray_of(x))
+        if size != d:
+            raise _wrong_length(size, d)
     pairs = sorted(rules.one_zero) + sorted(tuple(sorted(e)) for e in rules.equivalences)
     if not pairs:
         return ()
-    units = np.array(vectors)
-    index = {x: i for i, x in enumerate(logic.labels)}
+    named = sorted(set(chain.from_iterable(pairs)))
+    units = np.array([unit_vector(logic.ray_of(x), d) for x in named])
+    index = {x: i for i, x in enumerate(named)}
     probs = _contract(
         pair,
         units[[index[x] for x, _ in pairs]],

@@ -1,4 +1,5 @@
-"""Shared fixtures, independent oracles, and random logic generators.
+"""Shared fixtures, independent oracles, random logic generators, and a
+per-test timeout.
 
 The oracle enumerators here deliberately share no code or strategy with the
 package: one scans all 2^n assignments, the other recurses over per-context
@@ -15,10 +16,13 @@ against them.
 
 from __future__ import annotations
 
+import faulthandler
 import functools
 import itertools
 import operator
+import os
 import random
+import sys
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -30,6 +34,38 @@ from greechie.diagrams import DualEdge, DualGraph
 from greechie.gls import CORPUS_FILES, load_corpus
 from greechie.model import Atom, Context, Logic, Quad, Ray
 from greechie.quantum import EntangledPair, JointPrediction, unit_vector
+
+
+# --------------------------------------------------------------------------
+# per-test timeout
+# --------------------------------------------------------------------------
+
+# A test still running after this many seconds ends the run with every
+# thread's traceback, the stuck test's among them.  The slowest test takes
+# about 5 s.
+TEST_TIMEOUT_S = 120
+
+_STDERR_COPY = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # The traceback goes to stderr as it was when the run began: the run
+    # ends at once, so what a test's captured stderr holds is never shown.
+    config.stash[_STDERR_COPY] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR_COPY])
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item):
+    """Setup, call and teardown of each test run under the timeout."""
+    faulthandler.dump_traceback_later(
+        TEST_TIMEOUT_S, exit=True, file=item.config.stash[_STDERR_COPY]
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 # --------------------------------------------------------------------------

@@ -394,8 +394,9 @@ class TestBulkPath:
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(st.integers(0, 2**32), st.booleans())
-def test_interleaved_atoms_parse_through_the_walk(seed, realized):
-    """Atom lines among context lines, each atom before its first use."""
+def test_interleaved_atoms_parse_in_bulk(seed, realized):
+    """Atom lines among context lines, each atom before its first use, are
+    checked with sets, not walked, and read as the same atom lines first."""
     rng = random.Random(seed)
     logic = build_random_logic(rng, max_atoms=12)
     if realized:
@@ -412,16 +413,61 @@ def test_interleaved_atoms_parse_through_the_walk(seed, realized):
         lines.append(line)
     assert not atom_lines
     text = "\n".join(lines) + "\n"
+    atoms_first = "\n".join(
+        [lines[0]]
+        + [line for line in lines if line.startswith("atom ")]
+        + context_lines
+    ) + "\n"
 
     with counted_walks() as walked:
         parsed = parse_logic(text)
-    first_context = next(i for i, line in enumerate(lines) if line.startswith("context "))
-    interleaved = any(line.startswith("atom ") for line in lines[first_context:])
-    assert walked == ([1] if interleaved else [])
+        assert parse_logic(atoms_first) == parsed
+    assert walked == []
     assert parsed == Logic(logic.dimension, tuple(logic.atom(x) for x in order), logic.contexts)
     again = parse_logic(serialize_logic(parsed))
     assert (again.dimension, again.contexts) == (parsed.dimension, parsed.contexts)
     assert again.atoms == tuple(sorted(parsed.atoms, key=lambda a: a.label))
+
+
+def _interleaved_chain_text(k: int) -> str:
+    """``_chain_text(k)`` with each atom line just above its first context."""
+    lines = ["dim 3", "atom L0"]
+    for i in range(k):
+        lines += [f"atom M{i}", f"atom L{i + 1}", f"context c{i} L{i} M{i} L{i + 1}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_interleaved_chain_parses_in_bulk_like_atoms_first():
+    with counted_walks() as walked:
+        interleaved = parse_logic(_interleaved_chain_text(1500))
+    assert walked == []
+    atoms_first = parse_logic(_chain_text(1500))
+    assert (interleaved.dimension, interleaved.contexts) == (
+        atoms_first.dimension, atoms_first.contexts
+    )
+    assert sorted(interleaved.atoms, key=lambda a: a.label) == sorted(
+        atoms_first.atoms, key=lambda a: a.label
+    )
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        # each member is declared, one of them only below its context
+        ("dim 3\natom A\natom B\ncontext a A B\ncontext b B C\natom C\n",
+         5, 13, "context 'b' member 'C' is not a declared atom"),
+        ("dim 3\natom A\ncontext a A B\natom B\n",
+         3, 13, "context 'a' member 'B' is not a declared atom"),
+        # the same late member, with a fault further down the file
+        ("dim 3\natom A\ncontext a A B\natom B\ncontext a A B\n",
+         3, 13, "context 'a' member 'B' is not a declared atom"),
+    ],
+)
+def test_member_declared_below_its_context_is_walked(text, line, column, message):
+    with counted_walks() as walked, pytest.raises(GlsParseError) as err:
+        parse_logic(text)
+    assert walked == [1]
+    assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
 
 
 class TestSerialization:

@@ -9,20 +9,24 @@ conftest as an oracle.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from greechie import quantum
 from greechie.analysis import derive_rules, enumerate_states, make_star
 from greechie.gls import load_corpus
 from greechie.model import AbstractLogicError, Atom, Context, Logic, LogicError, Ray
 from greechie.quantum import (
+    CONTRACTION_PATH,
     PROB_TOL,
     EntangledPair,
     FalsificationRow,
     JointPrediction,
     confront,
     context_completeness,
+    _contract,
     falsification_report,
     joint_probability,
     unit_vector,
@@ -162,6 +166,46 @@ class TestUnitVector:
             unit_vector([1.0, 0.0, 0.0], 4)
 
 
+def unit_stack(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    vectors = rng.standard_normal((n, d))
+    return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+
+
+STACK_SHAPES = [(d, n) for d in range(3, 9) for n in (1, 2, 7, 164, 1000)]
+
+
+class TestSameBits:
+    """``quantum --json`` prints every digit of its floats, and the golden
+    digests leave it out, so the shortcuts are pinned to the bits of what
+    they replace on the numpy installed: the fixed contraction order to the
+    one ``optimize=True`` searches for, the norm to ``np.linalg.norm``."""
+
+    @pytest.mark.parametrize("d, n", STACK_SHAPES)
+    def test_fixed_order_is_the_one_optimize_picks(self, monkeypatch, d, n):
+        rng = np.random.default_rng(100 * d + n)
+        einsum, calls = np.einsum, []
+
+        def recorded(*operands, **options):
+            calls.append((operands, options))
+            return einsum(*operands, **options)
+
+        monkeypatch.setattr(np, "einsum", recorded)
+        probs = _contract(EntangledPair(d), unit_stack(rng, n, d), unit_stack(rng, n, d))
+        monkeypatch.undo()
+        [(operands, options)] = [call for call in calls if "optimize" in call[1]]
+        assert options == {"optimize": CONTRACTION_PATH}
+        assert np.einsum_path(*operands, optimize=True)[0] == CONTRACTION_PATH
+        assert np.array_equal(probs, np.einsum(*operands, optimize=True))
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_unit_vector_divides_by_the_linalg_norm(self, random_quad_ray, d):
+        rng = random.Random(d)
+        for _ in range(300):
+            ray = random_quad_ray(rng, d)
+            values = np.array(ray.floats())
+            assert np.array_equal(unit_vector(ray, d), values / np.linalg.norm(values))
+
+
 class TestJointPrediction:
     def test_rejects_probability_above_marginal(self):
         with pytest.raises(LogicError, match="outside"):
@@ -272,6 +316,53 @@ class TestFalsificationReport:
         assert rules.explosion and not rules.one_zero and not rules.equivalences
         with pytest.raises(AbstractLogicError, match="carries no ray"):
             falsification_report(stripped, rules, EntangledPair(4))
+
+    @pytest.mark.parametrize(
+        "extra, refusal, message",
+        [
+            ((Atom("a_long", Ray.of(1, 0, 0, 1)), Atom("b_bare")),
+             LogicError, "ray has 4 components, expected 3"),
+            ((Atom("a_bare"), Atom("b_long", Ray.of(1, 0))),
+             AbstractLogicError, "atom 'a_bare' carries no ray (abstract logic)"),
+            ((Atom("a_short", Ray.of(1, 0)), Atom("b_long", Ray.of(1, 0, 0, 1))),
+             LogicError, "ray has 2 components, expected 3"),
+        ],
+    )
+    def test_refuses_atoms_named_by_no_rule_in_label_order(
+        self, gamma1, extra, refusal, message
+    ):
+        """Atoms in no context, which no rule names, in an unvalidated logic."""
+        rules = derive_rules(enumerate_states(gamma1), gamma1)
+        logic = Logic(3, gamma1.atoms + extra, gamma1.contexts)
+        with pytest.raises(LogicError) as err:
+            falsification_report(logic, rules, EntangledPair(3))
+        assert (type(err.value), str(err.value)) == (refusal, message)
+
+    @staticmethod
+    def normalized(monkeypatch) -> Counter:
+        """Counts ``unit_vector`` calls per ray."""
+        calls: Counter = Counter()
+
+        def counted(ray, dimension):
+            calls[ray] += 1
+            return unit_vector(ray, dimension)
+
+        monkeypatch.setattr(quantum, "unit_vector", counted)
+        return calls
+
+    def test_no_rules_normalize_nothing(self, monkeypatch, cabello18):
+        rules = derive_rules(enumerate_states(cabello18), cabello18)
+        assert not rules.one_zero and not rules.equivalences
+        calls = self.normalized(monkeypatch)
+        assert falsification_report(cabello18, rules, EntangledPair(4)) == ()
+        assert not calls
+
+    def test_each_rule_atom_is_normalized_once(self, monkeypatch, gamma3pair, gamma3pair_rows):
+        rules = derive_rules(enumerate_states(gamma3pair), gamma3pair)
+        calls = self.normalized(monkeypatch)
+        assert falsification_report(gamma3pair, rules, EntangledPair(3)) == gamma3pair_rows
+        named = {x for row in gamma3pair_rows for x in row.pair}
+        assert calls == Counter(gamma3pair.ray_of(x) for x in named)
 
 
 class TestConfront:
