@@ -172,17 +172,19 @@ def parse_logic(text: str) -> Logic:
     if dimension is not None:
         count = len(atoms) + len(contexts)
         structural = None
-        if not late:
-            structural = first_fault(dimension, atoms, contexts)
-        # Atom lines among context lines: sets decide when every context
-        # member is declared above its context, else the walk in file order.
-        elif not (
+        # Sets decide once every context member is declared above its
+        # context; only a fault is walked, in file order.
+        if not (
             bulk_check(dimension, atoms, contexts)
-            and all(late.get(m, 0) <= k for k, c in enumerate(contexts) for m in c.members)
+            and (not late or all(
+                late.get(m, 0) <= k for k, c in enumerate(contexts) for m in c.members
+            ))
         ):
-            typed = {"atom": iter(atoms), "context": iter(contexts)}
-            kinds = [next(filter(None, pieces)) for _, pieces in _declaration_lines(lines)]
-            declarations = [next(typed[kind]) for kind in kinds[1 : count + 1]]
+            declarations = (*atoms, *contexts)
+            if late:
+                typed = {"atom": iter(atoms), "context": iter(contexts)}
+                kinds = [next(filter(None, pieces)) for _, pieces in _declaration_lines(lines)]
+                declarations = [next(typed[kind]) for kind in kinds[1 : count + 1]]
             structural = first_fault(dimension, atoms, contexts, declarations)
         # An atom in no context is a fault only at the end of the file.
         if structural is not None and (fault is None or structural[0] < count):

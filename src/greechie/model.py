@@ -8,8 +8,9 @@ larger field, and tokens outside it are rejected outright.
 ``Quad`` is the exact value parsed, formatted and printed; ray tests run on ints
 (``Ray.ints``, ``Ray.key``, ``orthogonal``), since scaling keeps both relations.
 A ray's integer form and key are made once, with the ray.
-The structural rules of a logic live in ``first_fault``: ``Logic.validate``
-and the ``.gls`` parser both raise the fault it names.
+The structural rules of a logic live in ``first_fault``, decided in bulk by
+``bulk_check``: ``Logic.validate`` and the ``.gls`` parser both raise the
+fault it names.
 """
 
 from __future__ import annotations

@@ -339,6 +339,14 @@ def _chain_text(k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _interleaved_chain_text(k: int) -> str:
+    """``_chain_text(k)`` with each atom line just above its first context."""
+    lines = ["dim 3", "atom L0"]
+    for i in range(k):
+        lines += [f"atom M{i}", f"atom L{i + 1}", f"context c{i} L{i} M{i} L{i + 1}"]
+    return "\n".join(lines) + "\n"
+
+
 def _noisy(text: str) -> str:
     """The same declarations with comments, tabs, runs of spaces and CRLF line ends."""
     lines = ["# a comment line", ""]
@@ -361,7 +369,8 @@ def counted_walks():
 
 
 class TestBulkPath:
-    """Well-formed files are read in one pass and checked in bulk, never walked."""
+    """Well-formed files are read in one pass and checked in bulk, never
+    walked, whether their atom lines come first or among the context lines."""
 
     @pytest.mark.parametrize(
         "text",
@@ -372,6 +381,7 @@ class TestBulkPath:
               for d in range(3, 9)),
             pytest.param(lambda: _chain_text(400), id="chain400"),
             pytest.param(lambda: _chain_text(1500), id="chain1500"),
+            pytest.param(lambda: _interleaved_chain_text(1500), id="chain1500-interleaved"),
         ],
     )
     def test_valid_file_is_not_walked(self, text):
@@ -429,36 +439,13 @@ def test_interleaved_atoms_parse_in_bulk(seed, realized):
     assert again.atoms == tuple(sorted(parsed.atoms, key=lambda a: a.label))
 
 
-def _interleaved_chain_text(k: int) -> str:
-    """``_chain_text(k)`` with each atom line just above its first context."""
-    lines = ["dim 3", "atom L0"]
-    for i in range(k):
-        lines += [f"atom M{i}", f"atom L{i + 1}", f"context c{i} L{i} M{i} L{i + 1}"]
-    return "\n".join(lines) + "\n"
-
-
-def test_interleaved_chain_parses_in_bulk_like_atoms_first():
-    with counted_walks() as walked:
-        interleaved = parse_logic(_interleaved_chain_text(1500))
-    assert walked == []
-    atoms_first = parse_logic(_chain_text(1500))
-    assert (interleaved.dimension, interleaved.contexts) == (
-        atoms_first.dimension, atoms_first.contexts
-    )
-    assert sorted(interleaved.atoms, key=lambda a: a.label) == sorted(
-        atoms_first.atoms, key=lambda a: a.label
-    )
-
-
 @pytest.mark.parametrize(
     "text, line, column, message",
     [
         # each member is declared, one of them only below its context
         ("dim 3\natom A\natom B\ncontext a A B\ncontext b B C\natom C\n",
          5, 13, "context 'b' member 'C' is not a declared atom"),
-        ("dim 3\natom A\ncontext a A B\natom B\n",
-         3, 13, "context 'a' member 'B' is not a declared atom"),
-        # the same late member, with a fault further down the file
+        # a late member, with a fault further down the file
         ("dim 3\natom A\ncontext a A B\natom B\ncontext a A B\n",
          3, 13, "context 'a' member 'B' is not a declared atom"),
     ],
