@@ -8,10 +8,10 @@ collapses in a too-small dimension).
 
 One search answers the state question: a component-cached exact-cover
 search that solves each component of the uncovered contexts once.
-``summarize_states`` reads from its table what the flags and the rules
-need, per atom the OR and the AND of the codes of the states where it is
-true, without listing any state.  ``enumerate_states`` expands the same
-table into every state, for ``--list``.
+``count_states`` reads only its root's count.  ``summarize_states`` reads
+from its table what the flags and the rules need, per atom the OR and the
+AND of the codes of the states where it is true, without listing any
+state.  ``enumerate_states`` expands the same table into every state.
 
 Everything is exact and deterministic: enumeration output is sorted, rule
 sets are set-valued, and no floating point is involved anywhere.
@@ -236,10 +236,17 @@ def bit_strings_of(codes: Iterable[int], width: int) -> list[str]:
     return [bin(code | top)[3:] for code in codes]
 
 
+def count_states(logic: Logic) -> int:
+    """The number of two-valued states: the count of the search's root."""
+    return _search(logic)[-1][0]
+
+
 def summarize_states(logic: Logic) -> StateSummary:
     """Count the two-valued states and fold them into per-atom codes without
     listing any."""
-    return StateSummary(logic.labels, *_per_atom(len(logic.labels), _search(logic))[:3])
+    table = _search(logic)
+    union, inter, _ = _per_atom(len(logic.labels), table)
+    return StateSummary(logic.labels, table[-1][0], union, inter)
 
 
 def enumerate_states(logic: Logic) -> StateSpaceReport:
@@ -263,13 +270,13 @@ def enumerate_states(logic: Logic) -> StateSpaceReport:
     its one component's list.
     """
     table = _search(logic)
-    *summary, around = _per_atom(len(logic.labels), table)
+    union, inter, around = _per_atom(len(logic.labels), table)
     listed: list = []  # per entry of the table, its sorted codes, or None
     for (_, _, _, live), seen in zip(table, around):
         codes = None
         if seen is not None:
             codes = []
-            for forced, parts, _, _ in live:
+            for forced, parts in live:
                 parts = sorted(parts, key=lambda part: table[part][1], reverse=True)
                 lists = map(listed.__getitem__, parts)
                 branch = [forced] if forced else next(lists, [0])
@@ -281,12 +288,11 @@ def enumerate_states(logic: Logic) -> StateSpaceReport:
                 codes += branch
             codes.sort()
         listed.append(codes)
-    return StateSpaceReport(logic.labels, *summary, tuple(codes))
+    return StateSpaceReport(logic.labels, table[-1][0], union, inter, tuple(codes))
 
 
-# A solved component: (count, OR, AND, live branches), a live branch being
-# (forced atoms, the table positions of its subcomponents, OR, AND) over the
-# states through it.
+# A solved component: (count, OR, AND, live branches) over its states, a live
+# branch being (forced atoms, the table positions of its subcomponents).
 _Solved = tuple[int, int, int, list]
 
 
@@ -405,7 +411,7 @@ def _search(logic: Logic) -> list[_Solved]:
                 count += product
                 any_code |= one
                 all_code &= every
-                live.append((forced, tuple(map(place.__getitem__, parts)), one, every))
+                live.append((forced, tuple(map(place.__getitem__, parts))))
         return count, any_code, all_code, live
 
     # Entries are fresh (component, seeds, None) or expanded (component, 0,
@@ -449,19 +455,20 @@ def _search(logic: Logic) -> list[_Solved]:
     return table
 
 
-def _per_atom(n: int, table: list[_Solved]) -> tuple[int, tuple[int, ...], tuple[int, ...], list]:
-    """The count and, per label, the ``union`` and ``inter`` codes of a
-    search's component table over ``n`` atoms, and what lies around each
-    entry of the table.
+def _per_atom(n: int, table: list[_Solved]) -> tuple[tuple[int, ...], tuple[int, ...], list]:
+    """Per label, the ``union`` and ``inter`` codes of a search's component
+    table over ``n`` atoms, and what lies around each entry of the table.
 
     The pass walks the table backwards, from the root, so it reaches each
     component after every component that leads to it.  Each component gets
     the OR and the AND of the codes of everything around it on the ways that
     reach it, and an atom forced in one of its branches gets those, each
     joined with the branch's own OR or AND: the ``union`` and ``inter`` of
-    that atom, over every state.  ``around`` holds those two codes per
-    entry: ``[0, 0]`` for the root, and None for each component that no
-    live branch from the root reaches.
+    that atom, over every state.  A branch's own codes are its forced atoms
+    ORed with its parts' ORs or ANDs, read from the parts' entries, whose
+    atoms are disjoint.  ``around`` holds those two codes per entry:
+    ``[0, 0]`` for the root, and None for each component that no live
+    branch from the root reaches.
     """
     union, inter = [0] * n, [-1] * n  # per bit, not per label
     around: list = [None] * (len(table) - 1) + [[0, 0]]
@@ -471,9 +478,12 @@ def _per_atom(n: int, table: list[_Solved]) -> tuple[int, tuple[int, ...], tuple
         if seen is None:
             continue
         out_any, out_all = seen
-        for forced, parts, one, every in live:
-            one |= out_any
-            every |= out_all
+        for forced, parts in live:
+            one, every = forced | out_any, forced | out_all
+            for part in parts:
+                _, part_any, part_all, _ = table[part]
+                one |= part_any
+                every |= part_all
             while forced:
                 atom = forced & -forced
                 bit = atom.bit_length() - 1
@@ -490,7 +500,7 @@ def _per_atom(n: int, table: list[_Solved]) -> tuple[int, tuple[int, ...], tuple
                     seen[1] &= every ^ part_all
     union.reverse()
     inter.reverse()
-    return table[-1][0], tuple(union), tuple(map(int.__and__, inter, union)), around
+    return tuple(union), tuple(map(int.__and__, inter, union)), around
 
 
 # --------------------------------------------------------------------------

@@ -77,9 +77,10 @@ def _report_check(logic: Logic, args: argparse.Namespace) -> tuple[dict, list[st
 
 
 def _report_states(logic: Logic, args: argparse.Namespace) -> tuple[dict, list, bool]:
-    report = (analysis.enumerate_states if args.list else analysis.summarize_states)(logic)
     if args.count_only and not args.json:
-        return {}, [_digits(report.count)], report.empty
+        count = analysis.count_states(logic)
+        return {}, [_digits(count)], not count
+    report = (analysis.enumerate_states if args.list else analysis.summarize_states)(logic)
     doc: dict[str, Any] = {
         "count": report.count,
         "empty": report.empty,

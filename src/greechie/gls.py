@@ -112,8 +112,9 @@ def parse_logic(text: str) -> Logic:
     a grammar fault (unknown keyword, misplaced or malformed ``dim``, missing
     label, a component token outside Q(sqrt(2)), the zero ray) or a structural
     rule of ``model.first_fault``.  One pass reads the lines up to the first
-    grammar fault; ``first_fault`` then checks the declarations read, and a
-    structural fault among them comes first.
+    grammar fault; ``bulk_check`` then decides the declarations read, only a
+    fault is walked with ``first_fault``, and a structural fault among them
+    comes first.
     """
     lines = _pieces(text)
     dimension = None
@@ -185,7 +186,7 @@ def parse_logic(text: str) -> Logic:
                 typed = {"atom": iter(atoms), "context": iter(contexts)}
                 kinds = [next(filter(None, pieces)) for _, pieces in _declaration_lines(lines)]
                 declarations = [next(typed[kind]) for kind in kinds[1 : count + 1]]
-            structural = first_fault(dimension, atoms, contexts, declarations)
+            structural = first_fault(dimension, declarations)
         # An atom in no context is a fault only at the end of the file.
         if structural is not None and (fault is None or structural[0] < count):
             index, exc = structural

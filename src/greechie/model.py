@@ -334,33 +334,6 @@ class Context:
         d["members"] = tuple(members)
 
 
-def first_fault(
-    dimension: int,
-    atoms: Sequence[Atom],
-    contexts: Sequence[Context],
-    declarations: Sequence[Atom | Context] | None = None,
-) -> tuple[int, LogicError] | None:
-    """The first structural fault of a logic and the index of its declaration, or None.
-
-    The rules: the dimension is at least 3; atom labels are distinct; a ray has
-    ``dimension`` components and no other atom's ray is collinear with it;
-    context labels are distinct; a context names 2 to ``dimension`` atoms
-    declared before it, none twice, and no other context has its member set;
-    every atom occurs in a context.  The declarations are read atoms first, or
-    in the order of ``declarations`` when given.  Index -1 is the dimension,
-    ``len(atoms) + len(contexts)`` an atom in no context; the fault's ``token``
-    locates it inside the declaration.
-
-    Without ``declarations`` the rules are decided with ``bulk_check``, and
-    the declarations are walked one at a time only to name a fault.
-    """
-    if declarations is None:
-        if bulk_check(dimension, atoms, contexts):
-            return None
-        declarations = (*atoms, *contexts)
-    return _walk(dimension, declarations)
-
-
 def bulk_check(dimension: int, atoms: Sequence[Atom], contexts: Sequence[Context]) -> bool:
     """Whether ``first_fault``, reading atoms first, finds no fault, decided
     with whole-logic sets.  Read in another order the logic also needs each
@@ -385,10 +358,21 @@ def bulk_check(dimension: int, atoms: Sequence[Atom], contexts: Sequence[Context
     )
 
 
-def _walk(
+def first_fault(
     dimension: int, declarations: Sequence[Atom | Context]
 ) -> tuple[int, LogicError] | None:
-    """``first_fault`` read one declaration at a time, in the given order."""
+    """The first structural fault of a logic and the index of its declaration, or None.
+
+    The rules: the dimension is at least 3; atom labels are distinct; a ray has
+    ``dimension`` components and no other atom's ray is collinear with it;
+    context labels are distinct; a context names 2 to ``dimension`` atoms
+    declared before it, none twice, and no other context has its member set;
+    every atom occurs in a context.  The declarations are read one at a time,
+    in the given order.  Index -1 is the dimension, ``len(declarations)`` an
+    atom in no context; the fault's ``token`` locates it inside the
+    declaration.  ``bulk_check`` decides the same rules faster, and callers
+    walk only to name a fault.
+    """
     if dimension < 3:
         return -1, LogicError(f"dimension must be >= 3, got {dimension}", token=0)
     used: dict[str, bool] = {}  # atom label -> occurs in a context
@@ -518,10 +502,9 @@ class Logic:
 
     def validate(self) -> None:
         """Raise the LogicError of ``first_fault``, the first structural violation
-        with atoms read first."""
-        fault = first_fault(self.dimension, self.atoms, self.contexts)
-        if fault is not None:
-            raise fault[1]
+        with atoms read first, walked only when ``bulk_check`` fails."""
+        if not bulk_check(self.dimension, self.atoms, self.contexts):
+            raise first_fault(self.dimension, (*self.atoms, *self.contexts))[1]
 
 
 def orthogonality_edges(logic: Logic) -> set[frozenset[str]]:

@@ -19,6 +19,7 @@ from greechie.analysis import (
     _search,
     _shared_witnesses,
     complete_contexts,
+    count_states,
     derive_rules,
     enumerate_states,
     infer_collapses,
@@ -571,12 +572,14 @@ class TestComponentTable:
     )
     def test_shape(self, logic):
         table = _search(logic)
-        count, _, _, around = _per_atom(len(logic.labels), table)
-        assert table[-1][0] == count == summarize_states(logic).count
+        around = _per_atom(len(logic.labels), table)[2]
+        assert table[-1][0] == count_states(logic) == summarize_states(logic).count
         assert len(around) == len(table)
         reached = {len(table) - 1}
         for at in reversed(range(len(table))):
-            for _, parts, _, _ in table[at][3]:
+            for branch in table[at][3]:
+                assert len(branch) == 2, at
+                forced, parts = branch
                 assert all(0 <= part < at for part in parts), at
                 if at in reached:
                     reached.update(parts)
@@ -585,7 +588,7 @@ class TestComponentTable:
     def test_dead_branch_leaves_its_component_solved_and_unreached(self):
         logic = star7_on_a_dead_branch()
         table = _search(logic)
-        around = _per_atom(len(logic.labels), table)[3]
+        around = _per_atom(len(logic.labels), table)[2]
         assert [seen for (count, *_), seen in zip(table, around) if count == 326_592] == [None]
 
 
@@ -628,6 +631,7 @@ class TestSummarizeStates:
             summary = either_path(logic)
             assert fields(summary) == oracle_summary(list(logic.labels), states)
             assert summary.count == len(oracle_choices(logic))
+            assert count_states(logic) == summary.count
 
     def test_atoms_in_no_context_are_free(
         self, oracle_bitmask, oracle_summary, random_logic, either_path
@@ -650,6 +654,7 @@ class TestSummarizeStates:
             logic = random_parity_logic(rng)
             summary = either_path(logic)
             assert oracle_choices(logic) == []
+            assert count_states(logic) == summary.count
             assert (summary.count, summary.unital, summary.separating) == (0, False, False)
             assert summary.union == summary.inter == (0,) * len(logic.labels)
 

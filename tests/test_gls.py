@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_random_logic, with_distinct_rays
-from greechie import cli, model
+from greechie import cli, gls
 from greechie.analysis import make_star
 from greechie.gls import (
     CORPUS_FILES,
@@ -358,14 +358,14 @@ def _noisy(text: str) -> str:
 
 @contextlib.contextmanager
 def counted_walks():
-    """Counts the entries into first_fault's per-declaration walk."""
+    """Counts the parser's entries into first_fault's per-declaration walk."""
     entries: list[int] = []
-    walk = model._walk
-    model._walk = lambda *args: entries.append(1) or walk(*args)
+    walk = gls.first_fault
+    gls.first_fault = lambda *args: entries.append(1) or walk(*args)
     try:
         yield entries
     finally:
-        model._walk = walk
+        gls.first_fault = walk
 
 
 class TestBulkPath:

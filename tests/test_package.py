@@ -163,6 +163,21 @@ def test_state_list_runs_one_search(monkeypatch, name, argv):
     assert golden.digest(name, argv) == table[golden.key(name, argv)]
 
 
+@pytest.mark.parametrize("name", ["gamma1.gls", "cabello18.gls", "gamma3pair.gls"])
+def test_state_count_runs_no_summary(monkeypatch, name):
+    """Text ``states --count-only`` reads the search's count alone: with
+    ``summarize_states`` and ``enumerate_states`` refusing to run, the
+    output still matches the golden table."""
+    def refuse(logic):
+        raise AssertionError("--count-only must not fold or list the states")
+
+    monkeypatch.setattr(analysis, "summarize_states", refuse)
+    monkeypatch.setattr(analysis, "enumerate_states", refuse)
+    argv = ("states", "--count-only")
+    table = json.loads(golden.TABLE.read_text(encoding="utf-8"))
+    assert golden.digest(name, argv) == table[golden.key(name, argv)]
+
+
 def test_quantum_pair_lists_no_state(capsys, monkeypatch):
     def refuse(logic):
         raise AssertionError("quantum must not list the states")
