@@ -429,8 +429,9 @@ class _Refusal(Exception):
 def _emit(chunks: Iterable[str], out: str | None) -> None:
     """Write ``chunks`` in order to the file ``out``, or to stdout when
     ``out`` is None.  A reader that closes stdout early (``| head``) ends the
-    writing, not the run; any other write fault refuses the run, as does a
-    stdout that was closed before the run started (``sys.stdout`` is None)."""
+    writing, not the run; any other write fault refuses the run, as do a
+    text that the output's encoding cannot hold and a stdout that was closed
+    before the run started (``sys.stdout`` is None)."""
     if out is None and sys.stdout is None:
         raise _Refusal(f"cannot write stdout: {os.strerror(errno.EBADF)}")
     try:
@@ -440,7 +441,7 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
         else:
             with open(out, "w", encoding="utf-8") as stream:
                 stream.writelines(chunks)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         if out is None:
             # What is still buffered goes to the null device at exit, so the
             # interpreter's last flush finds nothing to complain about.
@@ -450,7 +451,7 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
             if isinstance(exc, BrokenPipeError):
                 return
         name = "stdout" if out is None else repr(out)
-        raise _Refusal(f"cannot write {name}: {exc.strerror or exc}") from None
+        raise _Refusal(f"cannot write {name}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _load(name: str) -> Logic:

@@ -14,12 +14,10 @@ logics (atoms without rays) are legal; operations that need rays refuse to run
 on them with a clear error.
 
 ``parse_logic`` reads a file in one pass, up to the first grammar fault, and
-checks the declarations read in bulk, with ``model.bulk_check``'s sets and,
-when atom lines sit among context lines, a check that every context member
-is declared on an earlier line.  Only to name a fault does
-``model.first_fault`` walk them one declaration at a time, in file order.
-A structural fault is shown at its declaration's line; one above a grammar
-fault comes first.
+``model.bulk_check`` decides every structural rule of the declarations read,
+declaration order included.  Only to name a fault does ``model.first_fault``
+walk them one declaration at a time, in file order.  A structural fault is
+shown at its declaration's line; one above a grammar fault comes first.
 
 ``serialize_logic`` emits the canonical form: atoms sorted by label, contexts
 in declared order, components as canonical tokens, LF line endings.  It
@@ -90,12 +88,6 @@ def _column(pieces: list[str], index: int) -> int:
     return column
 
 
-def _declaration_lines(lines: list[list[str]]) -> list[tuple[int, list[str]]]:
-    """(line number, pieces) of each line holding a token: up to the first grammar
-    fault, the dim line and then one declaration per line."""
-    return [(lineno, pieces) for lineno, pieces in enumerate(lines, start=1) if any(pieces)]
-
-
 def _parse_dimension(value: str) -> int:
     try:
         if value.isascii() and value.isdigit():
@@ -112,9 +104,9 @@ def parse_logic(text: str) -> Logic:
     a grammar fault (unknown keyword, misplaced or malformed ``dim``, missing
     label, a component token outside Q(sqrt(2)), the zero ray) or a structural
     rule of ``model.first_fault``.  One pass reads the lines up to the first
-    grammar fault; ``bulk_check`` then decides the declarations read, only a
-    fault is walked with ``first_fault``, and a structural fault among them
-    comes first.
+    grammar fault, and ``bulk_check`` decides the declarations read.  Only a
+    fault is walked with ``first_fault``, in the file order that the lines'
+    keywords give, and a structural fault among them comes first.
     """
     lines = _pieces(text)
     dimension = None
@@ -170,29 +162,21 @@ def parse_logic(text: str) -> Logic:
             fault = lineno, 0, message
             break
 
-    if dimension is not None:
-        count = len(atoms) + len(contexts)
-        structural = None
-        # Sets decide once every context member is declared above its
-        # context; only a fault is walked, in file order.
-        if not (
-            bulk_check(dimension, atoms, contexts)
-            and (not late or all(
-                late.get(m, 0) <= k for k, c in enumerate(contexts) for m in c.members
-            ))
-        ):
-            declarations = (*atoms, *contexts)
-            if late:
-                typed = {"atom": iter(atoms), "context": iter(contexts)}
-                kinds = [next(filter(None, pieces)) for _, pieces in _declaration_lines(lines)]
-                declarations = [next(typed[kind]) for kind in kinds[1 : count + 1]]
-            structural = first_fault(dimension, declarations)
+    if dimension is not None and not bulk_check(dimension, atoms, contexts, late):
+        # Up to the first grammar fault: the dim line, then one declaration a line.
+        declared = [(lineno, pieces) for lineno, pieces in enumerate(lines, start=1) if any(pieces)]
+        typed = {"atom": iter(atoms), "context": iter(contexts)}
+        order = [
+            next(typed[next(filter(None, pieces))])
+            for _, pieces in declared[1 : len(atoms) + len(contexts) + 1]
+        ]
+        found = first_fault(dimension, order)
         # An atom in no context is a fault only at the end of the file.
-        if structural is not None and (fault is None or structural[0] < count):
-            index, exc = structural
-            if index == count:
+        if found is not None and (fault is None or found[0] < len(order)):
+            index, exc = found
+            if index == len(order):
                 raise GlsParseError(str(exc), len(lines), 1)
-            lineno, pieces = _declaration_lines(lines)[index + 1]
+            lineno, pieces = declared[index + 1]
             raise GlsParseError(str(exc), lineno, _column(pieces, exc.token + 1))
     if fault is not None:
         lineno, token, message = fault

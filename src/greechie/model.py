@@ -8,9 +8,9 @@ larger field, and tokens outside it are rejected outright.
 ``Quad`` is the exact value parsed, formatted and printed; ray tests run on ints
 (``Ray.ints``, ``Ray.key``, ``orthogonal``), since scaling keeps both relations.
 A ray's integer form and key are made once, with the ray.
-The structural rules of a logic live in ``first_fault``, decided in bulk by
-``bulk_check``: ``Logic.validate`` and the ``.gls`` parser both raise the
-fault it names.
+The structural rules of a logic live in ``first_fault``, decided in bulk,
+declaration order included, by ``bulk_check``: ``Logic.validate`` and the
+``.gls`` parser both raise the fault it names.
 """
 
 from __future__ import annotations
@@ -334,10 +334,13 @@ class Context:
         d["members"] = tuple(members)
 
 
-def bulk_check(dimension: int, atoms: Sequence[Atom], contexts: Sequence[Context]) -> bool:
-    """Whether ``first_fault``, reading atoms first, finds no fault, decided
-    with whole-logic sets.  Read in another order the logic also needs each
-    context member declared before its context; sets cannot see that."""
+def bulk_check(
+    dimension: int, atoms: Sequence[Atom], contexts: Sequence[Context], late: Mapping[str, int]
+) -> bool:
+    """Whether ``first_fault`` finds no fault in the declarations read in file
+    order, decided with whole-logic sets.  ``late`` maps each atom declared
+    after a context to the number of contexts declared above it; a context
+    names only atoms declared above it.  Atoms read first give ``{}``."""
     labels = {a.label for a in atoms}
     rays = [a.ray for a in atoms if a.ray is not None]
     members = [c.members for c in contexts]
@@ -355,6 +358,9 @@ def bulk_check(dimension: int, atoms: Sequence[Atom], contexts: Sequence[Context
         and sum(map(len, member_sets)) == sum(sizes)
         and len(set(member_sets)) == len(member_sets)
         and labels == set().union(*member_sets)
+        and (not late or all(
+            late.get(m, 0) <= k for k, c in enumerate(contexts) for m in c.members
+        ))
     )
 
 
@@ -503,7 +509,7 @@ class Logic:
     def validate(self) -> None:
         """Raise the LogicError of ``first_fault``, the first structural violation
         with atoms read first, walked only when ``bulk_check`` fails."""
-        if not bulk_check(self.dimension, self.atoms, self.contexts):
+        if not bulk_check(self.dimension, self.atoms, self.contexts, {}):
             raise first_fault(self.dimension, (*self.atoms, *self.contexts))[1]
 
 

@@ -37,6 +37,13 @@ def path_of(name: str) -> str:
     return str(corpus_path(name))
 
 
+def child_env(**extra: str) -> dict[str, str]:
+    """The environment of a child interpreter that imports greechie from this
+    checkout, with ``extra`` variables set."""
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **extra}
+
+
 @pytest.fixture(scope="module")
 def schema() -> dict:
     text = (
@@ -290,12 +297,11 @@ class TestExitCodes:
         ``--out`` does: one error line, exit 2, and a quiet final flush.
         star4's listing fits one write buffer; star7's fails between blocks."""
         argv = [request.getfixturevalue(arg) if arg == "star7" else arg for arg in argv]
-        paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        with open("/dev/full", "w") as full:
+        env = child_env()
+        with open("/dev/full", "w", encoding="utf-8") as full:
             result = subprocess.run(
                 [sys.executable, "-m", "greechie.cli", *argv],
-                env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+                env=env, stdout=full, stderr=subprocess.PIPE, encoding="utf-8",
             )
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("error: cannot write")
@@ -316,15 +322,60 @@ class TestExitCodes:
     def test_closed_stdout(self, argv):
         """With fd 1 closed at start Python sets ``sys.stdout`` to None; the
         run is refused like any other unwritable stdout."""
-        paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        env = child_env()
         code = "import os, sys; os.close(1); os.execv(sys.executable, sys.argv[1:])"
         result = subprocess.run(
             [sys.executable, "-c", code, sys.executable, "-m", "greechie.cli", *argv],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, encoding="utf-8",
         )
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("error: cannot write stdout: ")
+        assert result.stderr.count("\n") == 1, result.stderr
+
+    @pytest.mark.parametrize(
+        "argv", [("states", "--list"), ("dot",), ("rules",)], ids=["states", "dot", "rules"]
+    )
+    def test_stdout_that_cannot_encode_the_report(self, tmp_path, argv):
+        """A text report that stdout's encoding cannot hold is refused with one
+        error line and exit 2; the JSON document escapes non-ASCII and is written."""
+        path = tmp_path / "accent.gls"
+        path.write_text("dim 3\natom \u00e9\natom B\ncontext a \u00e9 B\n", encoding="utf-8")
+        command = [sys.executable, "-m", "greechie.cli", *argv, str(path)]
+        for encoding, code in (("ascii", 2), ("utf-8", 0)):
+            result = subprocess.run(
+                command, env=child_env(PYTHONIOENCODING=encoding),
+                capture_output=True, encoding=encoding,
+            )
+            assert result.returncode == code, result.stderr
+            if code:
+                assert result.stderr.startswith("error: cannot write stdout: "), result.stderr
+                assert result.stderr.count("\n") == 1, result.stderr
+            else:
+                assert "\u00e9" in result.stdout and result.stderr == ""
+        if argv[0] == "states":
+            result = subprocess.run(
+                [*command, "--json"], env=child_env(PYTHONIOENCODING="ascii"),
+                capture_output=True, encoding="ascii",
+            )
+            assert result.returncode == 0, result.stderr
+            assert json.loads(result.stdout)["reports"][0]["labels"] == ["B", "\u00e9"]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs a file name that is not UTF-8")
+    def test_out_file_that_cannot_encode_the_report(self, tmp_path):
+        """A file name that is not UTF-8 reaches a two-file text report's
+        headers, and the UTF-8 ``--out`` file refuses it with one error line."""
+        text = "dim 3\natom A\natom B\ncontext a A B\n"
+        names = [str(tmp_path / "plain.gls"), os.fsdecode(bytes(tmp_path) + b"/\xff.gls")]
+        for name in names:
+            Path(name).write_text(text, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "greechie.cli", "states", *names, "--out",
+             str(tmp_path / "out.txt")],
+            env=child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, encoding="utf-8",
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: cannot write "), result.stderr
+        assert "can't encode character '\\udcff'" in result.stderr
         assert result.stderr.count("\n") == 1, result.stderr
 
     @pytest.mark.skipif(
@@ -349,12 +400,7 @@ class TestExitCodes:
         lines += [f"atom M{i}" for i in range(k)]
         lines += [f"context c{i} L{i} M{i} L{i + 1}" for i in range(k)]
         chain.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = {
-            **os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, paths)),
-            "OPENBLAS_NUM_THREADS": "1",
-        }
+        env = child_env(OPENBLAS_NUM_THREADS="1")
         code = (
             "import resource, runpy, sys; "
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
@@ -364,7 +410,7 @@ class TestExitCodes:
         for argv in (("quantum", str(wide)), ("states", "--list", str(chain))):
             result = subprocess.run(
                 [sys.executable, "-c", code, *argv],
-                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, encoding="utf-8",
             )
             assert result.returncode == 2, result.stderr
             assert "Traceback" not in result.stderr
@@ -1105,8 +1151,7 @@ class TestStreamedListing:
     def test_closed_pipe_ends_quietly(self, star7, mode):
         """A reader that stops after one line, as ``| head -n 1`` does, ends
         the writing: no traceback, no error line, the run's own exit code."""
-        paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        env = child_env()
         argv = [sys.executable, "-m", "greechie.cli", "states", "--list", *mode, star7]
         pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
         with subprocess.Popen(argv, env=env, **pipes) as proc:
@@ -1187,7 +1232,7 @@ class TestInstalledEntryPoint:
         result = subprocess.run(
             [sys.executable, "-m", "greechie.cli", "--help"],
             capture_output=True,
-            text=True,
+            encoding="utf-8",
         )
         assert result.returncode == 0
         assert "subcommand" in result.stdout or "usage" in result.stdout
@@ -1213,7 +1258,7 @@ class TestInstalledEntryPoint:
                 "states", "--count-only", path_of("cabello18.gls"),
             ],
             capture_output=True,
-            text=True,
+            encoding="utf-8",
         )
         assert result.returncode == 0
         assert result.stdout == "0\n"
@@ -1310,14 +1355,12 @@ print(digest.hexdigest())
 
 
 def test_output_does_not_depend_on_string_hashing():
-    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     digests = set()
     for seed in ("0", "1"):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
-               "PYTHONHASHSEED": seed}
         result = subprocess.run(
             [sys.executable, "-c", _HASH_SEED_CHILD, json.dumps(_HASH_SEED_ARGV)],
-            env=env, capture_output=True, text=True, check=True,
+            env=child_env(PYTHONHASHSEED=seed), capture_output=True, encoding="utf-8",
+            check=True,
         )
         digests.add(result.stdout)
     assert len(digests) == 1, digests

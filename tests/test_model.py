@@ -655,6 +655,33 @@ def _shown(fault):
     return None if fault is None else (fault[0], str(fault[1]), fault[1].token)
 
 
+def _interleaved(atoms, contexts, rng):
+    """A file order with the atom lines placed at random among the context
+    lines, each kind in its own order, and the parser's ``late`` map for it:
+    each atom declared after a context -> the number of contexts above it.
+    Half the orders place each atom at or above its first context."""
+    first = {}
+    for k, context in enumerate(contexts):
+        for m in context.members:
+            first.setdefault(m, k)
+    above_first = rng.random() < 0.5
+    slots = [
+        rng.randint(0, first.get(a.label, len(contexts)) if above_first else len(contexts))
+        for a in atoms
+    ]
+    order = []
+    for k in range(len(contexts) + 1):
+        order += [a for a, slot in zip(atoms, slots) if slot == k]
+        order += contexts[k : k + 1]
+    late, above = {}, 0
+    for item in order:
+        if isinstance(item, Context):
+            above += 1
+        elif above:
+            late[item.label] = above
+    return order, late
+
+
 @settings(derandomize=True, deadline=None, max_examples=600)
 @given(
     st.integers(0, 2**32),
@@ -665,9 +692,11 @@ def test_bulk_check_agrees_with_the_walk(seed, share, how):
     rng = random.Random(seed)
     logic = with_distinct_rays(build_random_logic(rng, max_atoms=10), rng, share)
     mutated = _mutate(logic, rng, how)
-    atoms, contexts = mutated.atoms, mutated.contexts
-    fault = first_fault(mutated.dimension, (*atoms, *contexts))
-    assert bulk_check(mutated.dimension, atoms, contexts) == (fault is None)
+    dim, atoms, contexts = mutated.dimension, mutated.atoms, mutated.contexts
+    fault = first_fault(dim, (*atoms, *contexts))
+    assert bulk_check(dim, atoms, contexts, {}) == (fault is None)
+    order, late = _interleaved(atoms, contexts, rng)
+    assert bulk_check(dim, atoms, contexts, late) == (first_fault(dim, order) is None)
     if how == "none":
         assert fault is None
     if fault is None:

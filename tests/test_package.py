@@ -52,7 +52,7 @@ def run_fresh(code: str) -> subprocess.CompletedProcess:
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": source + (os.pathsep + path if path else "")}
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code], capture_output=True, encoding="utf-8", env=env
     )
 
 
@@ -90,6 +90,19 @@ def test_readme_quick_start_runs():
     block = re.search(r"```python\n(.*?)```", section, re.S)
     assert block is not None
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+@pytest.mark.skipif(
+    not (ROOT / "bench" / "spans.py").is_file(), reason="no bench/spans.py in this checkout"
+)
+def test_traced_names_resolve(monkeypatch):
+    """Every function the benchmark's tracer wraps is an attribute of the
+    module it names, including the names a module imports only for it."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import spans
+
+    for path, attr, *_ in spans.TARGETS:
+        assert callable(getattr(spans._resolve(path), attr, None)), (path, attr)
 
 
 class TestLazyImport:
